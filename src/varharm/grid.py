@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.signal import fftconvolve
 
 
 class ResolutionError(ValueError):
@@ -83,9 +81,6 @@ class GridFunction:
     def same_domain(self, other: "GridFunction") -> bool:
         return self.domain == other.domain
 
-    def copy_with(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.domain, values)
-
     def to_csv(self, path) -> None:
         x = self.domain.x()
         with open(path, "w", newline="") as fh:
@@ -114,7 +109,9 @@ class GridFunction:
 
 @lru_cache(maxsize=1)
 def _bump_mass() -> float:
-    # normalizer for exp(-1/(1-x^2)) on (-1, 1)
+    # normalizer for exp(-1/(1-x^2)) on (-1, 1); scipy is imported here
+    # because no other kernel needs it
+    from scipy.integrate import quad
     val, _ = quad(lambda x: math.exp(-1.0 / (1.0 - x * x)), -1.0, 1.0,
                   epsabs=1e-14, epsrel=1e-13)
     return val
@@ -155,11 +152,6 @@ class KernelSpec:
     def unit_mass(self) -> bool:
         return self.kind in ("gaussian-heat", "poisson", "compact-bump")
 
-    @property
-    def schwartz(self) -> bool:
-        # the Poisson kernel only has the polynomial decay the estimates use
-        return self.kind != "poisson"
-
     def profile(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "gaussian-heat":
@@ -183,16 +175,6 @@ class KernelSpec:
         # so phi >= 1 on [1 - delta, 1 + delta]
         u = (x - 1.0) / (4.0 * self.delta)
         return 2.0 * math.e * _bump_raw(u)
-
-    def support_radius(self) -> float | None:
-        """Radius beyond which the mother kernel vanishes (None if global)."""
-        if self.kind == "compact-bump":
-            return 1.0
-        if self.kind == "flat-bump":
-            return 2.0
-        if self.kind == "witness-bump":
-            return 1.0 + 4.0 * self.delta
-        return None
 
 
 def eval_kernel_dilated(kernel: KernelSpec, t: float, x) -> np.ndarray | float:
@@ -273,31 +255,65 @@ def convolve(f: GridFunction, kernel: KernelSpec, t: float,
              method: str = "auto") -> GridFunction:
     """Midpoint-quadrature convolution (phi_t * f)(x_i) = h sum_j phi_t(x_i - x_j) f(x_j).
 
-    method: "direct" (exact summation), "fft" (equivalent up to round-off;
-    verified against direct in the test suite), or "auto".
+    The one-scale case of convolve_family, with the same methods.
     """
-    d = f.domain
-    if t < 2.0 * d.h:
-        raise ResolutionError(f"scale t={t} below the resolution limit 2h={2 * d.h}")
-    n = d.cells
-    diffs = np.arange(-(n - 1), n) * d.h
-    kvals = eval_kernel_dilated(kernel, t, diffs)
-    if method == "auto":
-        method = "direct" if n <= 1024 else "fft"
-    if method == "direct":
-        full = np.convolve(f.values, kvals)
-    elif method == "fft":
-        full = fftconvolve(f.values, kvals)
-    else:
-        raise ValueError(f"unknown convolution method {method!r}")
-    return GridFunction(d, d.h * full[n - 1:2 * n - 1])
+    values = convolve_family(f, kernel, ScaleFamily((t,)), method=method)[:, 0]
+    return GridFunction(f.domain, values)
+
+
+# Up to this many cells "auto" sums directly; the FFT plan takes over above.
+_DIRECT_MAX_CELLS = 1024
+
+
+def _kernel_samples(kernel: KernelSpec, scales: tuple, domain: Domain1D) -> np.ndarray:
+    """Row k holds phi_{t_k}(d h) for the 2N - 1 offsets d = -(N-1) .. N-1."""
+    n = domain.cells
+    diffs = np.arange(-(n - 1), n) * domain.h
+    return np.stack([eval_kernel_dilated(kernel, t, diffs) for t in scales])
+
+
+def _fft_length(cells: int) -> int:
+    """Smallest power of two >= 2N - 1: the circular wrap then misses the
+    N central outputs of the linear convolution."""
+    return 1 << (2 * cells - 2).bit_length()
+
+
+@lru_cache(maxsize=8)
+def _kernel_spectra(kernel: KernelSpec, scales: tuple, domain: Domain1D) -> np.ndarray:
+    """Read-only stack of kernel spectra, one row per scale, shared by every
+    function convolved on the same (kernel, scales, domain)."""
+    spectra = np.fft.rfft(_kernel_samples(kernel, scales, domain),
+                          n=_fft_length(domain.cells), axis=-1)
+    spectra.flags.writeable = False
+    return spectra
 
 
 def convolve_family(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
                     method: str = "auto") -> np.ndarray:
-    """Matrix of shape (N, m): column k holds phi_{t_k} * f."""
-    cols = [convolve(f, kernel, t, method=method).values for t in scales]
-    return np.stack(cols, axis=1)
+    """Matrix of shape (N, m): column k holds phi_{t_k} * f.
+
+    method: "direct" (exact summation, scale by scale), "fft" (one rFFT of f
+    times the cached kernel spectra and one inverse transform for the whole
+    family; equal to direct up to round-off), or "auto", which sums directly
+    up to 1024 cells and uses the FFT above.
+    """
+    d = f.domain
+    n = d.cells
+    ts = tuple(scales)
+    if min(ts) < 2.0 * d.h:
+        raise ResolutionError(f"scale t={min(ts)} below the resolution limit 2h={2 * d.h}")
+    if method == "auto":
+        method = "direct" if n <= _DIRECT_MAX_CELLS else "fft"
+    if method == "direct":
+        cols = [d.h * np.convolve(f.values, k)[n - 1:2 * n - 1]
+                for k in _kernel_samples(kernel, ts, d)]
+        return np.stack(cols, axis=1)
+    if method == "fft":
+        size = _fft_length(n)
+        spectrum = np.fft.rfft(f.values, n=size)
+        full = np.fft.irfft(_kernel_spectra(kernel, ts, d) * spectrum, n=size, axis=-1)
+        return (d.h * full[:, n - 1:2 * n - 1]).T
+    raise ValueError(f"unknown convolution method {method!r}")
 
 
 def lp_norm(f: GridFunction, p: float, weight=None) -> float:

@@ -31,6 +31,11 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+_FLOAT_FIELDS = {"left", "right", "t_max", "scale_ratio", "rho"}
+_INT_FIELDS = {"cells", "function_count", "seed", "refine", "scale_count"}
+_TUPLE_FIELDS = {"p_list", "weight_params"}
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -54,6 +59,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENT_IDS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        for name in sorted(_FLOAT_FIELDS):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        for name in sorted(_TUPLE_FIELDS):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ConfigError(f"{name} entries must be finite")
         if not self.left < self.right:
             raise ConfigError("domain requires left < right")
         if self.cells < 16 or (3 * self.cells) % 2 != 0:
@@ -68,6 +79,10 @@ class ExperimentConfig:
             raise ConfigError("p_list entries must exceed 1 for this experiment")
         if self.refine < 0:
             raise ConfigError("refine must be nonnegative")
+        try:
+            self.scales()
+        except ValueError as exc:
+            raise ConfigError(f"no usable scale family at t >= 2h: {exc}") from None
 
     def domain(self) -> Domain1D:
         return Domain1D(self.left, self.right, self.cells)
@@ -81,9 +96,8 @@ class ExperimentConfig:
                                      self.scale_count, t_min=2.0 * d.h)
 
 
-_FLOAT_FIELDS = {"left", "right", "t_max", "scale_ratio", "rho"}
-_INT_FIELDS = {"cells", "function_count", "seed", "refine", "scale_count"}
-_TUPLE_FIELDS = {"p_list", "weight_params"}
+def _float_list(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -96,17 +110,23 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in kwargs:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if key in _FLOAT_FIELDS:
-            kwargs[key] = float(val)
+            parse = float
         elif key in _INT_FIELDS:
-            kwargs[key] = int(val)
+            parse = int
         elif key in _TUPLE_FIELDS:
-            kwargs[key] = tuple(float(v) for v in val.split(",") if v.strip())
+            parse = _float_list
         elif key in ("experiment", "kernel", "weight_battery",
                      "function_battery", "out_dir"):
-            kwargs[key] = val
+            parse = str
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            kwargs[key] = parse(val)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: cannot parse {key} = {val!r}") from None
     if "experiment" not in kwargs:
         raise ConfigError("config must name an experiment")
     cfg = ExperimentConfig(**kwargs)
@@ -329,14 +349,15 @@ def _run_e2(cfg: ExperimentConfig) -> RatioTable:
     lattices = default_lattices(d)
     funcs = battery_generate(cfg.function_battery, cfg.seed, d, cfg.function_count)
     a1_params = [a for a in cfg.weight_params if -1.0 < a <= 0.0]
+    profiles = {fid: variation_operator(f, kernel, scales, cfg.rho).grid_function()
+                for fid, f in funcs}
     for a in a1_params:
         w = power_weight(a, d)
         a1c = a1_constant(w, lattices)
         ainfc = ainf_constant(w, lattices)
         factor = a1c * math.log(math.e + ainfc)
         for fid, f in funcs:
-            prof = variation_operator(f, kernel, scales, cfg.rho).grid_function()
-            lhs = weak_l1_norm(prof, w)
+            lhs = weak_l1_norm(profiles[fid], w)
             rhs = factor * lp_norm(f, 1.0, w)
             table.add(f"{fid}|a={a:+g}",
                       {"power": a, "a1": a1c, "ainf": ainfc}, lhs, rhs)
@@ -405,6 +426,10 @@ def _run_e5(cfg: ExperimentConfig) -> RatioTable:
     funcs = battery_generate(cfg.function_battery, cfg.seed + 1, d,
                              max(cfg.function_count // 3, 2))
     pairs = [(-0.3, 0.3), (0.0, 0.3), (-0.3, 0.0)]
+    # the profile depends on (b, f) only, not on p or the weights
+    profiles = {(bid, fid): commutator_variation(f, b, kernel, scales,
+                                                 cfg.rho).grid_function()
+                for bid, b in bs for fid, f in funcs}
     for p in cfg.p_list:
         for amu, alam in pairs:
             if not (-1.0 < amu < p - 1.0 and -1.0 < alam < p - 1.0):
@@ -417,9 +442,7 @@ def _run_e5(cfg: ExperimentConfig) -> RatioTable:
                 bnorm = bmo_nu_norm(b, nu, ranges)
                 for fid, f in funcs:
                     case = f"{bid}|{fid}|p={p}|mu={amu:+g}|lam={alam:+g}"
-                    prof = commutator_variation(f, b, kernel, scales,
-                                                cfg.rho).grid_function()
-                    lhs = lp_norm(prof, p, lam)
+                    lhs = lp_norm(profiles[bid, fid], p, lam)
                     rhs = factor * bnorm * lp_norm(f, p, mu)
                     table.add(case, {"p": p, "mu_pow": amu, "lam_pow": alam},
                               lhs, rhs)

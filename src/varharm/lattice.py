@@ -119,9 +119,6 @@ class Cube:
         n = self.lattice.domain.cells
         return max(start, 0), min(start + w, n)
 
-    def contains_x(self, x: float) -> bool:
-        return self.left <= x < self.right
-
     def tripled_domain_cell_range(self) -> tuple[int, int]:
         """Cell range of the concentric tripling 3Q, clipped to the domain."""
         w = self.width_cells
@@ -217,13 +214,10 @@ def _hl_maximal_exhaustive(f: GridFunction) -> GridFunction:
         avg[a, a:] = (s[a + 1:] - s[a]) / lengths[: n - a]
     # best_b[a, i] = max over b >= i+1 of avg[a, b-1]
     suffix = np.maximum.accumulate(avg[:, ::-1], axis=1)[:, ::-1]
-    out = np.full(n, -np.inf)
     running = np.full(n, -np.inf)
     for a in range(n):
         running[a:] = np.maximum(running[a:], suffix[a, a:])
-        # points i < a cannot use start a; finalize nothing yet
-    out = running
-    return GridFunction(f.domain, out)
+    return GridFunction(f.domain, running)
 
 
 def m_half(f: GridFunction, lattices=None, exhaustive: bool = False) -> GridFunction:

@@ -9,6 +9,7 @@ serves as the independent oracle for short inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,11 +23,18 @@ def _variation_dp_batch(a: np.ndarray, rho: float) -> np.ndarray:
     m = a.shape[-1]
     if m < 2:
         return np.zeros(a.shape[:-1])
+    # scale-major copy: each step reduces over contiguous rows, in place
+    a = np.ascontiguousarray(np.moveaxis(a, -1, 0))
     best = np.zeros(a.shape)
+    work = np.empty(a.shape)
     for i in range(1, m):
-        inc = np.abs(a[..., i:i + 1] - a[..., :i]) ** rho
-        best[..., i] = (best[..., :i] + inc).max(axis=-1)
-    return best.max(axis=-1) ** (1.0 / rho)
+        inc = work[:i]
+        np.subtract(a[:i], a[i], out=inc)
+        np.abs(inc, out=inc)
+        inc **= rho
+        inc += best[:i]
+        best[i] = inc.max(axis=0)
+    return best.max(axis=0) ** (1.0 / rho)
 
 
 def seq_variation_dp(a, rho: float) -> float:
@@ -39,6 +47,19 @@ def seq_variation_dp(a, rho: float) -> float:
     return float(_variation_dp_batch(a, rho))
 
 
+@lru_cache(maxsize=None)
+def _subsequence_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mask, i, j) for every consecutive index pair i < j of every subset mask
+    of range(m), ordered by mask and then by i."""
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
+    # nxt[:, i] = the smallest set index above i, or m when there is none
+    nxt = np.full(bits.shape, m)
+    for i in range(m - 2, -1, -1):
+        nxt[:, i] = np.where(bits[:, i + 1], i + 1, nxt[:, i + 1])
+    mask, i = np.nonzero(bits & (nxt < m))
+    return mask, i, nxt[mask, i]
+
+
 def seq_variation_bruteforce(a, rho: float) -> float:
     """Exhaustive maximum over all index subsequences (m <= 15)."""
     if rho <= 1:
@@ -47,14 +68,11 @@ def seq_variation_bruteforce(a, rho: float) -> float:
     m = len(a)
     if m > 15:
         raise ValueError("brute-force oracle limited to sequences of length <= 15")
-    best = 0.0
-    for mask in range(1, 1 << m):
-        if mask & (mask - 1) == 0:
-            continue  # single index, no pair
-        idx = [i for i in range(m) if mask >> i & 1]
-        total = sum(abs(a[i] - a[j]) ** rho for i, j in zip(idx, idx[1:]))
-        best = max(best, total)
-    return best ** (1.0 / rho)
+    mask, i, j = _subsequence_pairs(m)
+    if len(mask) == 0:
+        return 0.0
+    totals = np.bincount(mask, weights=np.abs(a[i] - a[j]) ** rho, minlength=1 << m)
+    return float(totals.max()) ** (1.0 / rho)
 
 
 @dataclass

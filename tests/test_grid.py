@@ -1,11 +1,15 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from varharm import (Domain1D, GridFunction, KernelSpec, ResolutionError,
-                     ScaleFamily, convolve, eval_kernel_dilated, hardy_norm,
-                     lp_norm, power_weight, smooth_maximal, weak_l1_norm)
+                     ScaleFamily, convolve, convolve_family,
+                     eval_kernel_dilated, hardy_norm, lp_norm, power_weight,
+                     smooth_maximal, weak_l1_norm)
+from varharm.grid import KERNEL_KINDS
 
 
 def test_domain_midpoints():
@@ -115,6 +119,41 @@ def test_convolve_fft_matches_direct():
         b = convolve(f, k, 0.7, method="fft").values
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("cells", [3072, 1100])  # 2N - 1 just above 2^11 at 1100
+def test_convolve_family_fft_matches_direct_every_kernel(cells):
+    d = Domain1D(-8.0, 8.0, cells)
+    rng = np.random.default_rng(cells)
+    f = GridFunction(d, rng.standard_normal(d.cells))
+    fam = ScaleFamily((4.0, math.sqrt(8.0 * d.h), 2.0 * d.h))
+    for kind in KERNEL_KINDS:
+        k = KernelSpec(kind)
+        a = convolve_family(f, k, fam, method="direct")
+        b = convolve_family(f, k, fam, method="fft")
+        assert a.shape == b.shape == (cells, 3)
+        for col in range(3):
+            scale = np.max(np.abs(a[:, col]))
+            assert np.max(np.abs(a[:, col] - b[:, col])) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("method", ["direct", "fft"])
+def test_convolve_family_resolution_error(method):
+    d = Domain1D(-8.0, 8.0, 96)
+    f = GridFunction.indicator(d, -1.0, 1.0)
+    fam = ScaleFamily((1.0, 1.9 * d.h))
+    with pytest.raises(ResolutionError):
+        convolve_family(f, KernelSpec("gaussian-heat"), fam, method=method)
+    with pytest.raises(ResolutionError):
+        convolve(f, KernelSpec("gaussian-heat"), 1.9 * d.h, method=method)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, varharm.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_lp_norm_indicator():

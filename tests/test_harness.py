@@ -193,6 +193,22 @@ def test_cli_config_errors(tmp_path):
                      "--experiment", "E1"]) == 3
 
 
+@pytest.mark.parametrize("line", [
+    "rho = nan",
+    "t_max = inf",
+    "cells = abc",
+    "t_max = 0.001",        # below 2h: the clipped scale family is empty
+    "p_list = nan, 2.0",
+    "rho = 3.0\nrho = 4.0",  # repeated key
+])
+def test_cli_rejects_bad_config_values(tmp_path, capsys, line):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"experiment = E5\n{line}\n")
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "E5.csv").exists()
+
+
 def test_cli_info(tmp_path, capsys):
     d = Domain1D(-8.0, 8.0, 96)
     path = tmp_path / "w.csv"

@@ -11,6 +11,7 @@ from varharm import (Domain1D, GridFunction, KernelSpec, ScaleFamily,
                      grand_maximal_variation, kernel_difference_variation,
                      seq_variation_bruteforce, seq_variation_dp,
                      variation_operator)
+from varharm.variation import _variation_dp_batch
 
 
 def test_seq_variation_hand_examples():
@@ -67,6 +68,32 @@ def test_seq_variation_properties(a, rho):
     # homogeneity
     assert seq_variation_dp([3.0 * x for x in a], rho) == \
         pytest.approx(3.0 * v, rel=1e-10, abs=1e-10)
+
+
+def _dp_last_axis(a, rho):
+    """The DP in its earlier last-axis layout: the same arithmetic."""
+    best = np.zeros(a.shape)
+    for i in range(1, a.shape[-1]):
+        inc = np.abs(a[..., i:i + 1] - a[..., :i]) ** rho
+        best[..., i] = (best[..., :i] + inc).max(axis=-1)
+    return best.max(axis=-1) ** (1.0 / rho)
+
+
+def test_variation_dp_batch_equals_rows_exactly():
+    rng = np.random.default_rng(21)
+    for a in (rng.standard_normal((40, 9)), rng.standard_normal((3, 40, 9))):
+        rows = a.reshape(-1, a.shape[-1])
+        for rho in (1.5, 3.0):
+            got = _variation_dp_batch(a, rho)
+            assert got.shape == a.shape[:-1]
+            assert np.array_equal(got, _dp_last_axis(a, rho))
+            flat = got.reshape(-1)
+            assert np.array_equal(flat, [_variation_dp_batch(r[None], rho)[0]
+                                         for r in rows])
+            # seq_variation_dp takes its final root of a numpy scalar, which
+            # may round differently from the array loop in the last bit
+            seq = np.array([seq_variation_dp(r, rho) for r in rows])
+            assert np.max(np.abs(flat - seq) / seq) <= 4 * np.finfo(float).eps
 
 
 def test_seq_variation_pointwise_bound():
