@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, KernelSpec, ScaleFamily, smooth_maximal
+from .grid import GridFunction, KernelSpec, ScaleFamily, _recentred, smooth_maximal
 from .oscillation import Ball
 from .weights import Weight
 
@@ -141,7 +141,7 @@ def sgn_atom(b: GridFunction, ball: Ball, w: Weight) -> SgnAtomResult:
     s, e = ball.cell_range(d)
     bb = b.values[s:e]
     # recentred mean: constant b gives exact zeros, hence sgn(0) = 0
-    hvals = np.sign(bb - (bb[0] + (bb - bb[0]).mean()))
+    hvals = np.sign(_recentred(bb))
     wb = w.measure(s, e)
     av = (hvals - hvals.mean()) / (2.0 * wb)
     vals = np.zeros(d.cells)
@@ -180,7 +180,7 @@ def far_field_maximal_bound_check(f: GridFunction, ball: Ball,
     if k_tilde is None:
         k_tilde = KernelSpec("flat-bump")
     if scales is None:
-        scales = ScaleFamily.geometric(d.length, 0.8, 48, t_min=2.0 * d.h)
+        scales = ScaleFamily.for_domain(d, t_max=d.length, ratio=0.8)
     integral = abs(float(f.values[s:e].sum() * d.h))
     x = d.x()
     mask = np.ones(d.cells, dtype=bool)

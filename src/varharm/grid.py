@@ -2,8 +2,9 @@
 
 Functions live on a uniform grid of cell midpoints and are identically
 zero outside their domain (compact support model). All convolutions use
-midpoint quadrature; scales below twice the grid spacing are rejected to
-keep aliasing under control.
+midpoint quadrature, evaluated on one cached rFFT plan at every grid size;
+scales below twice the grid spacing are rejected to keep aliasing under
+control.
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ class GridFunction:
             raise ValueError("values length must equal the cell count")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
-
-    @classmethod
-    def from_callable(cls, domain: Domain1D, fn) -> "GridFunction":
-        return cls(domain, np.asarray(fn(domain.x()), dtype=float))
 
     @classmethod
     def indicator(cls, domain: Domain1D, a: float, b: float) -> "GridFunction":
@@ -252,17 +249,13 @@ def _weight_values(w) -> np.ndarray | None:
 
 
 def convolve(f: GridFunction, kernel: KernelSpec, t: float,
-             method: str = "auto") -> GridFunction:
+             method: str = "fft") -> GridFunction:
     """Midpoint-quadrature convolution (phi_t * f)(x_i) = h sum_j phi_t(x_i - x_j) f(x_j).
 
     The one-scale case of convolve_family, with the same methods.
     """
     values = convolve_family(f, kernel, ScaleFamily((t,)), method=method)[:, 0]
     return GridFunction(f.domain, values)
-
-
-# Up to this many cells "auto" sums directly; the FFT plan takes over above.
-_DIRECT_MAX_CELLS = 1024
 
 
 def _kernel_samples(kernel: KernelSpec, scales: tuple, domain: Domain1D) -> np.ndarray:
@@ -289,21 +282,19 @@ def _kernel_spectra(kernel: KernelSpec, scales: tuple, domain: Domain1D) -> np.n
 
 
 def convolve_family(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
-                    method: str = "auto") -> np.ndarray:
+                    method: str = "fft") -> np.ndarray:
     """Matrix of shape (N, m): column k holds phi_{t_k} * f.
 
-    method: "direct" (exact summation, scale by scale), "fft" (one rFFT of f
-    times the cached kernel spectra and one inverse transform for the whole
-    family; equal to direct up to round-off), or "auto", which sums directly
-    up to 1024 cells and uses the FFT above.
+    method: "fft" (one rFFT of f times the cached kernel spectra and one
+    inverse transform for the whole family) or "direct" (exact summation,
+    scale by scale, kept as the reference the FFT path is tested against;
+    the two agree up to round-off).
     """
     d = f.domain
     n = d.cells
     ts = tuple(scales)
     if min(ts) < 2.0 * d.h:
         raise ResolutionError(f"scale t={min(ts)} below the resolution limit 2h={2 * d.h}")
-    if method == "auto":
-        method = "direct" if n <= _DIRECT_MAX_CELLS else "fft"
     if method == "direct":
         cols = [d.h * np.convolve(f.values, k)[n - 1:2 * n - 1]
                 for k in _kernel_samples(kernel, ts, d)]
@@ -314,6 +305,12 @@ def convolve_family(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
         full = np.fft.irfft(_kernel_spectra(kernel, ts, d) * spectrum, n=size, axis=-1)
         return (d.h * full[:, n - 1:2 * n - 1]).T
     raise ValueError(f"unknown convolution method {method!r}")
+
+
+def _recentred(vals: np.ndarray) -> np.ndarray:
+    """vals minus its mean, the mean taken about vals[0] so that a constant
+    input yields exact zeros."""
+    return vals - (vals[0] + (vals - vals[0]).mean())
 
 
 def lp_norm(f: GridFunction, p: float, weight=None) -> float:
@@ -341,14 +338,14 @@ def weak_l1_norm(f: GridFunction, weight=None) -> float:
     return float(vals.max(initial=0.0))
 
 
-def smooth_maximal(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
-                   method: str = "auto") -> GridFunction:
+def smooth_maximal(f: GridFunction, kernel: KernelSpec,
+                   scales: ScaleFamily) -> GridFunction:
     """M_phi f(x) = max_{t in S} |(phi_t * f)(x)|."""
-    convs = convolve_family(f, kernel, scales, method=method)
+    convs = convolve_family(f, kernel, scales)
     return GridFunction(f.domain, np.abs(convs).max(axis=1))
 
 
 def hardy_norm(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
-               weight, p: float, method: str = "auto") -> float:
+               weight, p: float) -> float:
     """L^p(w) norm of the smooth maximal function."""
-    return lp_norm(smooth_maximal(f, kernel, scales, method=method), p, weight)
+    return lp_norm(smooth_maximal(f, kernel, scales), p, weight)

@@ -92,8 +92,8 @@ class ExperimentConfig:
 
     def scales(self, domain: Domain1D | None = None) -> ScaleFamily:
         d = domain or self.domain()
-        return ScaleFamily.geometric(self.t_max, self.scale_ratio,
-                                     self.scale_count, t_min=2.0 * d.h)
+        return ScaleFamily.for_domain(d, t_max=self.t_max, ratio=self.scale_ratio,
+                                      count=self.scale_count)
 
 
 def _float_list(text: str) -> tuple:

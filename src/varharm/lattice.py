@@ -58,16 +58,15 @@ class DyadicLattice:
     def cube(self, level: int, index: int) -> "Cube":
         return Cube(self, level, index)
 
-    def cubes(self, min_level: int = 0, max_level: int | None = None,
-              intersecting_domain: bool = True):
-        """Iterate cubes level by level, optionally only those meeting the domain."""
+    def cubes(self, max_level: int | None = None):
+        """Iterate the cubes meeting the domain, level by level."""
         top = self.depth if max_level is None else min(max_level, self.depth)
         n = self.domain.cells
-        for level in range(min_level, top + 1):
+        for level in range(top + 1):
             w = self.width_cells(level)
             for j in range(1 << level):
                 start = self.offset_cells + j * w
-                if intersecting_domain and (start >= n or start + w <= 0):
+                if start >= n or start + w <= 0:
                     continue
                 yield Cube(self, level, j)
 

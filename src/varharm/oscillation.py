@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Domain1D, GridFunction, ResolutionError
+from .grid import Domain1D, GridFunction, ResolutionError, _recentred
 from .weights import Weight
 
 
@@ -38,15 +38,8 @@ class Ball:
         return s, e
 
 
-def _centered(vals: np.ndarray) -> np.ndarray:
-    """vals minus its mean, with the mean recentred so that a constant
-    input yields exact zeros."""
-    m = vals[0] + (vals - vals[0]).mean()
-    return vals - m
-
-
 def _range_oscillation(vals: np.ndarray) -> float:
-    return float(np.abs(_centered(vals)).mean())
+    return float(np.abs(_recentred(vals)).mean())
 
 
 def bmo_norm(b: GridFunction, ranges) -> float:
@@ -62,7 +55,7 @@ def bmo_nu_norm(b: GridFunction, nu: Weight, ranges) -> float:
     h = b.domain.h
     best = 0.0
     for s, e in ranges:
-        osc = np.abs(_centered(b.values[s:e])).sum() * h
+        osc = np.abs(_recentred(b.values[s:e])).sum() * h
         best = max(best, osc / nu.measure(s, e))
     return best
 
@@ -90,7 +83,7 @@ def cal_bmo_omega_norm(b: GridFunction, w: Weight, balls) -> TailNormReport:
         mask = np.ones(d.cells, dtype=bool)
         mask[s:e] = False
         tail = float((w.values[mask] / np.abs(x[mask] - ball.center)).sum() * h)
-        osc = float(np.abs(_centered(b.values[s:e])).sum() * h)
+        osc = float(np.abs(_recentred(b.values[s:e])).sum() * h)
         val = tail * osc / w.measure(s, e)
         rows.append((ball, tail, osc, val))
         best = max(best, val)

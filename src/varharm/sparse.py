@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, KernelSpec, ScaleFamily
+from .grid import GridFunction, KernelSpec, ScaleFamily, _recentred
 from .lattice import Cube, DyadicLattice, default_lattices
 from .variation import variation_operator
 
@@ -163,15 +163,6 @@ def sparse_operator(family: SparseFamily, f: GridFunction) -> GridFunction:
     return GridFunction(f.domain, out)
 
 
-def _mean_b(b: GridFunction, cube: Cube) -> float:
-    """<b>_Q over the cells of Q inside the domain (b lives on the domain)."""
-    s, e = cube.domain_cell_range()
-    if e <= s:
-        return 0.0
-    # recentring makes the average of a constant b return it bit-exactly
-    return float(b.values[s] + (b.values[s:e] - b.values[s]).mean())
-
-
 def sparse_commutator(family: SparseFamily, b: GridFunction,
                       f: GridFunction) -> GridFunction:
     """T_{S,b} f(x) = sum_Q |b(x) - <b>_Q| <|f|>_Q chi_Q(x)."""
@@ -184,7 +175,8 @@ def sparse_commutator(family: SparseFamily, b: GridFunction,
         if e <= s:
             continue
         avg_f = np.abs(f.values[s:e]).sum() / cube.width_cells
-        out[s:e] += np.abs(b.values[s:e] - _mean_b(b, cube)) * avg_f
+        # <b>_Q is taken over the cells of Q inside the domain, where b lives
+        out[s:e] += np.abs(_recentred(b.values[s:e])) * avg_f
     return GridFunction(f.domain, out)
 
 
@@ -199,8 +191,7 @@ def sparse_commutator_star(family: SparseFamily, b: GridFunction,
         s, e = cube.domain_cell_range()
         if e <= s:
             continue
-        mb = _mean_b(b, cube)
-        avg = np.abs((b.values[s:e] - mb) * f.values[s:e]).sum() / cube.width_cells
+        avg = np.abs(_recentred(b.values[s:e]) * f.values[s:e]).sum() / cube.width_cells
         out[s:e] += avg
     return GridFunction(f.domain, out)
 
@@ -214,8 +205,7 @@ class DominationReport:
 
 
 def domination_check(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
-                     rho: float, c0: float = 2.0, lattices=None,
-                     method: str = "auto") -> DominationReport:
+                     rho: float, c0: float = 2.0, lattices=None) -> DominationReport:
     """max_x V_rho(Phi * f)(x) / sum_j T_{S_j} f(x) over the grid.
 
     Points where the denominator vanishes while the variation exceeds 1e-9
@@ -223,7 +213,7 @@ def domination_check(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
     """
     if lattices is None:
         lattices = default_lattices(f.domain)
-    prof = variation_operator(f, kernel, scales, rho, method=method)
+    prof = variation_operator(f, kernel, scales, rho)
     total = np.zeros(f.domain.cells)
     sizes = []
     for lat in lattices:

@@ -107,26 +107,26 @@ class VariationProfile:
 
 
 def variation_operator(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
-                       rho: float, method: str = "auto") -> VariationProfile:
+                       rho: float) -> VariationProfile:
     """V_rho of the family {phi_t * f}_{t in S}, pointwise on the grid."""
     if rho <= 1:
         raise ValueError("variation exponent must exceed 1")
-    convs = convolve_family(f, kernel, scales, method=method)
+    convs = convolve_family(f, kernel, scales)
     vals = _variation_dp_batch(convs, rho)
     return VariationProfile(f.domain, vals, rho, scales, kernel)
 
 
 def commutator_family(f: GridFunction, b: GridFunction, kernel: KernelSpec,
-                      scales: ScaleFamily, method: str = "auto") -> np.ndarray:
+                      scales: ScaleFamily) -> np.ndarray:
     """Columns c_t(x) = b(x)(phi_t * f)(x) - (phi_t * (b f))(x)."""
     if not f.same_domain(b):
         raise ValueError("f and b must share a domain")
     # recentering b leaves the commutator unchanged but makes the
     # constant-b case cancel bit-exactly
     b0 = b.values - b.values[0]
-    conv_f = convolve_family(f, kernel, scales, method=method)
+    conv_f = convolve_family(f, kernel, scales)
     bf = GridFunction(f.domain, b0 * f.values)
-    conv_bf = convolve_family(bf, kernel, scales, method=method)
+    conv_bf = convolve_family(bf, kernel, scales)
     return b0[:, None] * conv_f - conv_bf
 
 
@@ -143,12 +143,11 @@ def commutator_family_direct(f: GridFunction, b: GridFunction, kernel: KernelSpe
 
 
 def commutator_variation(f: GridFunction, b: GridFunction, kernel: KernelSpec,
-                         scales: ScaleFamily, rho: float,
-                         method: str = "auto") -> VariationProfile:
+                         scales: ScaleFamily, rho: float) -> VariationProfile:
     """V_rho of the commutator family of b with the approximate identity."""
     if rho <= 1:
         raise ValueError("variation exponent must exceed 1")
-    fam = commutator_family(f, b, kernel, scales, method=method)
+    fam = commutator_family(f, b, kernel, scales)
     vals = _variation_dp_batch(fam, rho)
     return VariationProfile(f.domain, vals, rho, scales, kernel)
 
@@ -167,8 +166,7 @@ def kernel_difference_variation(kernel: KernelSpec, xi: float, z: float, y: floa
 
 
 def grand_maximal_variation(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
-                            rho: float, lattices: list[DyadicLattice],
-                            method: str = "auto") -> GridFunction:
+                            rho: float, lattices: list[DyadicLattice]) -> GridFunction:
     """sup over lattice cubes Q containing x of max_{xi in Q} V_rho(Phi * (f chi_{3Q^c}))(xi).
 
     Cost grows like #cubes * N * m^2; intended for desk-scale grids.
@@ -185,7 +183,7 @@ def grand_maximal_variation(f: GridFunction, kernel: KernelSpec, scales: ScaleFa
             g[ts:te] = 0.0
             if np.any(g):
                 prof = variation_operator(GridFunction(f.domain, g), kernel,
-                                          scales, rho, method=method)
+                                          scales, rho)
                 val = prof.values[qs:qe].max()
             else:
                 val = 0.0

@@ -121,7 +121,8 @@ def test_convolve_fft_matches_direct():
         assert np.max(np.abs(a - b)) < 1e-10 * scale
 
 
-@pytest.mark.parametrize("cells", [3072, 1100])  # 2N - 1 just above 2^11 at 1100
+# 2N - 1 just above 2^11 at 1100; 768 is the benchmark's small grid, 96 a coarse one
+@pytest.mark.parametrize("cells", [3072, 1100, 768, 96])
 def test_convolve_family_fft_matches_direct_every_kernel(cells):
     d = Domain1D(-8.0, 8.0, cells)
     rng = np.random.default_rng(cells)
@@ -146,6 +147,14 @@ def test_convolve_family_resolution_error(method):
         convolve_family(f, KernelSpec("gaussian-heat"), fam, method=method)
     with pytest.raises(ResolutionError):
         convolve(f, KernelSpec("gaussian-heat"), 1.9 * d.h, method=method)
+
+
+def test_convolve_family_rejects_unknown_method():
+    d = Domain1D(-8.0, 8.0, 96)
+    f = GridFunction.indicator(d, -1.0, 1.0)
+    fam = ScaleFamily((1.0, 0.5))
+    with pytest.raises(ValueError, match="unknown convolution method"):
+        convolve_family(f, KernelSpec("gaussian-heat"), fam, method="auto")
 
 
 def test_import_loads_no_scipy():
