@@ -308,9 +308,10 @@ def convolve_family(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
 
 
 def _recentred(vals: np.ndarray) -> np.ndarray:
-    """vals minus its mean, the mean taken about vals[0] so that a constant
-    input yields exact zeros."""
-    return vals - (vals[0] + (vals - vals[0]).mean())
+    """vals minus its mean along the last axis, the mean taken about the
+    first entry so that a constant input yields exact zeros."""
+    first = vals[..., :1]
+    return vals - (first + (vals - first).mean(axis=-1, keepdims=True))
 
 
 def lp_norm(f: GridFunction, p: float, weight=None) -> float:

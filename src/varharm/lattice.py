@@ -157,23 +157,27 @@ def default_lattices(domain: Domain1D, depth: int | None = None) -> list[DyadicL
 
 def cube_domain_ranges(lattices, min_cells: int = 1,
                        full_cubes_only: bool = False) -> list[tuple[int, int]]:
-    """Deduplicated clipped cell ranges of all lattice cubes meeting the domain."""
-    seen = set()
-    out = []
+    """Deduplicated clipped cell ranges of all lattice cubes meeting the domain,
+    sorted by (width, start)."""
     n = lattices[0].domain.cells
+    starts, ends = [], []
     for lat in lattices:
-        for cube in lat.cubes():
-            s, e = cube.domain_cell_range()
-            if e - s < min_cells:
-                continue
-            if full_cubes_only and e - s != cube.width_cells:
-                continue
-            if (s, e) not in seen:
-                seen.add((s, e))
-                out.append((s, e))
-    out.sort(key=lambda r: (r[1] - r[0], r[0]))
-    assert all(0 <= s < e <= n for s, e in out)
-    return out
+        for level in range(lat.depth + 1):
+            w = lat.width_cells(level)
+            start = lat.offset_cells + w * np.arange(1 << level)
+            start = start[(start < n) & (start + w > 0)]
+            s, e = np.maximum(start, 0), np.minimum(start + w, n)
+            keep = e - s >= min_cells
+            if full_cubes_only:
+                keep &= e - s == w
+            starts.append(s[keep])
+            ends.append(e[keep])
+    s, e = np.concatenate(starts), np.concatenate(ends)
+    key = np.unique((e - s) * (n + 1) + s)
+    s = key % (n + 1)
+    e = s + key // (n + 1)
+    assert np.all((0 <= s) & (s < e) & (e <= n))
+    return list(zip(s.tolist(), e.tolist()))
 
 
 def hl_maximal(f: GridFunction, lattices=None, exhaustive: bool = False) -> GridFunction:

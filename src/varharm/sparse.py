@@ -90,11 +90,7 @@ def validate_sparse(family: SparseFamily) -> SparseReport:
 
 def _tripled_avg(f_root: np.ndarray, cube: Cube) -> float:
     """Average of |f| over 3Q clipped to the domain (zero if 3Q misses it)."""
-    lat = cube.lattice
-    n = lat.domain.cells
-    w = cube.width_cells
-    start = lat.offset_cells + cube.index * w - w
-    s, e = max(start, 0), min(start + 3 * w, n)
+    s, e = cube.tripled_domain_cell_range()
     if e <= s:
         return 0.0
     return float(np.abs(f_root[s:e]).mean())

@@ -109,24 +109,41 @@ def a1_constant(w: Weight, lattices=None, exhaustive: bool = False) -> float:
 
 
 def ainf_constant(w: Weight, lattices=None, max_level: int | None = None) -> float:
-    """Fujii-Wilson constant sup_Q (1/w(Q)) int_Q M(chi_Q w) over lattice cubes."""
+    """Fujii-Wilson constant sup_Q (1/w(Q)) int_Q M(chi_Q w) over lattice cubes.
+
+    The supremum runs over cubes of level at most max_level, by default
+    min(depth, 8): a truncation the value depends on. M is the lattice
+    maximal function of hl_maximal, evaluated on the cells of Q only, for
+    all cubes of one (lattice, level) at once.
+    """
     if lattices is None:
         lattices = default_lattices(w.domain)
     if max_level is None:
         max_level = min(lattices[0].depth, 8)
+    vals = w.values
+    idx = np.arange(w.domain.cells)
+
+    def runs(lat, level):
+        """True where a cell starts a new cube of (lat, level)."""
+        cube = (idx - lat.offset_cells) // lat.width_cells(level)
+        return np.diff(cube, prepend=cube[0] - 1) != 0
+
+    parts = [(runs(lat, level), lat.width_cells(level))
+             for lat in lattices for level in range(lat.depth + 1)]
     best = 0.0
-    n = w.domain.cells
     for lat in lattices:
-        for cube in lat.cubes(max_level=max_level):
-            s, e = cube.domain_cell_range()
-            if e <= s:
-                continue
-            g = np.zeros(n)
-            g[s:e] = w.values[s:e]
-            m = hl_maximal(GridFunction(w.domain, g), lattices=lattices)
-            num = m.values[s:e].sum()
-            den = w.values[s:e].sum()
-            best = max(best, num / den)
+        for level in range(min(max_level, lat.depth) + 1):
+            new_q = runs(lat, level)
+            m = np.zeros(len(vals))
+            for new_p, width in parts:
+                # one bin per nonempty Q cap P; bincount adds in cell order,
+                # as hl_maximal does for chi_Q w
+                key = np.cumsum(new_q | new_p) - 1
+                sums = np.bincount(key, weights=vals)
+                np.maximum(m, sums[key] / width, out=m)
+            bounds = np.append(np.flatnonzero(new_q), len(vals)).tolist()
+            for s, e in zip(bounds[:-1], bounds[1:]):
+                best = max(best, m[s:e].sum() / vals[s:e].sum())
     return best
 
 

@@ -135,3 +135,26 @@ def test_cube_domain_ranges_dedup_and_bounds():
     assert set(full) <= set(ranges)
     widths = {e - s for s, e in full}
     assert widths <= {lats[0].width_cells(k) for k in range(lats[0].depth + 1)}
+
+
+@pytest.mark.parametrize("cells", [96, 768, 3072])
+@pytest.mark.parametrize("min_cells", [1, 4])
+@pytest.mark.parametrize("full_cubes_only", [False, True])
+def test_cube_domain_ranges_equal_cube_enumeration(cells, min_cells,
+                                                   full_cubes_only):
+    d = Domain1D(-8.0, 8.0, cells)
+    lats = default_lattices(d)
+    seen = set()
+    for lat in lats:
+        for cube in lat.cubes():
+            s, e = cube.domain_cell_range()
+            if e - s < min_cells:
+                continue
+            if full_cubes_only and e - s != cube.width_cells:
+                continue
+            seen.add((s, e))
+    expect = sorted(seen, key=lambda r: (r[1] - r[0], r[0]))
+    got = cube_domain_ranges(lats, min_cells=min_cells,
+                             full_cubes_only=full_cubes_only)
+    assert got == expect
+    assert all(type(s) is int and type(e) is int for s, e in got)

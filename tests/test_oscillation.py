@@ -200,3 +200,61 @@ def test_oscillation_witness_errors():
     const = GridFunction(d, np.ones(d.cells))
     res = oscillation_witness(const, (300, 364), tau=0.125, delta_param=2.5)
     assert res.degenerate and res.sign == 0 and res.a_tau == 0.0
+
+
+def _sweeps_per_range(b, nu, ranges, tau):
+    """Range-by-range oracle for bmo_norm, bmo_nu_norm and the rhs of
+    bmo_nu_equivalence: the recentred mean and the sorted-sample window
+    minimum taken on each slice on its own. Each range is also checked
+    alone, since a last-bit change need not move the sup."""
+    h = b.domain.h
+    bmo = bmo_nu = rhs = 0.0
+    for s, e in ranges:
+        v = b.values[s:e]
+        dev = np.abs(v - (v[0] + (v - v[0]).mean()))
+        assert bmo_norm(b, [(s, e)]) == max(0.0, float(dev.mean()))
+        assert bmo_nu_norm(b, nu, [(s, e)]) == max(0.0, dev.sum() * h / nu.measure(s, e))
+        bmo = max(bmo, float(dev.mean()))
+        bmo_nu = max(bmo_nu, dev.sum() * h / nu.measure(s, e))
+        k_cells = e - s
+        if tau * k_cells >= 1.0:
+            k = min(int(math.floor(tau * k_cells + 1e-12)) + 1, k_cells)
+            m = k_cells - k + 1
+            sv = np.sort(v)
+            a = float((sv[m - 1:] - sv[:k_cells - m + 1]).min()) / 2.0
+            assert local_mean_oscillation(b, (s, e), tau) == a
+            rhs = max(rhs, k_cells * h / nu.measure(s, e) * a)
+    return bmo, bmo_nu, rhs
+
+
+@pytest.mark.parametrize("cells, all_intervals", [(384, False), (48, True)])
+@pytest.mark.parametrize("tau", [0.125, 0.3])
+def test_range_sweeps_equal_per_range_loops(cells, all_intervals, tau):
+    d = Domain1D(-8.0, 8.0, cells)
+    if all_intervals:
+        ranges = [(s, e) for s in range(cells) for e in range(s + 1, cells + 1)]
+    else:
+        ranges = cube_domain_ranges(default_lattices(d))
+    rng = np.random.default_rng(cells)
+    nu = Weight(GridFunction(d, np.exp(rng.standard_normal(cells))))
+    x = d.x()
+    for b in (GridFunction(d, rng.standard_normal(cells)),
+              GridFunction(d, np.sin(3.0 * x) + 0.1 * x),
+              GridFunction.indicator(d, 0.0, 1.0)):
+        bmo, bmo_nu, rhs = _sweeps_per_range(b, nu, ranges, tau)
+        assert bmo_norm(b, ranges) == bmo
+        assert bmo_nu_norm(b, nu, ranges) == bmo_nu
+        usable = [(s, e) for s, e in ranges if tau * (e - s) >= 1.0]
+        rep = bmo_nu_equivalence(b, nu, ranges, tau=tau)
+        assert rep.lhs == bmo_nu_norm(b, nu, usable)
+        assert rep.rhs == rhs
+
+
+def test_range_sweeps_over_no_ranges():
+    d = Domain1D(-8.0, 8.0, 48)
+    b = GridFunction(d, d.x())
+    nu = Weight.constant(d)
+    assert bmo_norm(b, []) == 0.0
+    assert bmo_nu_norm(b, nu, []) == 0.0
+    rep = bmo_nu_equivalence(b, nu, [])
+    assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.degenerate

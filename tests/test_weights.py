@@ -7,7 +7,8 @@ import pytest
 from varharm import (Domain1D, GridFunction, Weight, a1_constant,
                      ainf_constant, ap_constant, bloom_weight,
                      compute_constants, critical_index_estimate,
-                     default_lattices, power_weight, truncated_tail_integral)
+                     default_lattices, hl_maximal, power_weight,
+                     truncated_tail_integral)
 
 
 def _random_weight(domain, seed, spread=1.0):
@@ -178,3 +179,32 @@ def test_compute_constants_json():
     assert data["a1"] >= 1.0
     assert data["ainf"] >= 1.0 - 1e-12
     assert data["lattice_shifts"] == [lat.shift for lat in default_lattices(d)]
+
+
+def _ainf_per_cube(w, lattices, max_level):
+    """The definition cube by cube: a full maximal function of chi_Q w per Q."""
+    best = 0.0
+    for lat in lattices:
+        for cube in lat.cubes(max_level=max_level):
+            s, e = cube.domain_cell_range()
+            g = np.zeros(w.domain.cells)
+            g[s:e] = w.values[s:e]
+            m = hl_maximal(GridFunction(w.domain, g), lattices=lattices)
+            best = max(best, m.values[s:e].sum() / w.values[s:e].sum())
+    return best
+
+
+@pytest.mark.parametrize("cells", [96, 384])
+@pytest.mark.parametrize("kind", ["constant", "power+", "power-", "lognormal"])
+def test_ainf_constant_equals_per_cube_definition(cells, kind):
+    d = Domain1D(-8.0, 8.0, cells)
+    w = {"constant": lambda: Weight.constant(d, 2.5),
+         "power+": lambda: power_weight(0.7, d),
+         "power-": lambda: power_weight(-0.6, d),
+         "lognormal": lambda: _random_weight(d, 5, spread=1.5)}[kind]()
+    lats = default_lattices(d)
+    depth = lats[0].depth
+    for max_level in (None, 0, 3, depth):
+        cap = min(depth, 8) if max_level is None else max_level
+        assert ainf_constant(w, lats, max_level=max_level) == \
+            _ainf_per_cube(w, lats, cap)
