@@ -48,7 +48,6 @@ class ExperimentConfig:
     scale_count: int = 48
     rho: float = 3.0
     p_list: tuple = (1.2, 2.0, 4.0)
-    weight_battery: str = "power-weights"
     weight_params: tuple = (-0.3, 0.0, 0.3, 0.6)
     function_battery: str = "mixed"
     function_count: int = 12
@@ -79,6 +78,12 @@ class ExperimentConfig:
             raise ConfigError("p_list entries must exceed 1 for this experiment")
         if self.refine < 0:
             raise ConfigError("refine must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if self.function_battery not in _FUNCTION_BATTERIES:
+            raise ConfigError(f"unknown function battery {self.function_battery!r}")
+        if self.function_count < 1:
+            raise ConfigError("function_count must be positive")
         try:
             self.scales()
         except ValueError as exc:
@@ -118,8 +123,7 @@ def parse_config(text: str) -> ExperimentConfig:
             parse = int
         elif key in _TUPLE_FIELDS:
             parse = _float_list
-        elif key in ("experiment", "kernel", "weight_battery",
-                     "function_battery", "out_dir"):
+        elif key in ("experiment", "kernel", "function_battery", "out_dir"):
             parse = str
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
@@ -209,18 +213,20 @@ def _perturbed_weight_battery(domain: Domain1D, count: int, rng) -> list:
     return out
 
 
+_FUNCTION_BATTERIES = {
+    "indicators": _indicator_battery,
+    "random-bumps": _bump_battery,
+    "oscillatory": _oscillatory_battery,
+    "mixed": _mixed_battery,
+}
+
+
 def battery_generate(spec: str, seed: int, domain: Domain1D,
                      count: int = 12, params=None) -> list:
     """Seeded battery of test functions or weights, keyed by spec name."""
     rng = np.random.default_rng(seed)
-    if spec == "indicators":
-        return _indicator_battery(domain, count, rng)
-    if spec == "random-bumps":
-        return _bump_battery(domain, count, rng)
-    if spec == "oscillatory":
-        return _oscillatory_battery(domain, count, rng)
-    if spec == "mixed":
-        return _mixed_battery(domain, count, rng)
+    if spec in _FUNCTION_BATTERIES:
+        return _FUNCTION_BATTERIES[spec](domain, count, rng)
     if spec == "power-weights":
         return _power_weight_battery(domain, params or (-0.3, 0.0, 0.3, 0.6))
     if spec == "perturbed-constant-weights":

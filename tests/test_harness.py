@@ -200,6 +200,11 @@ def test_cli_config_errors(tmp_path):
     "t_max = 0.001",        # below 2h: the clipped scale family is empty
     "p_list = nan, 2.0",
     "rho = 3.0\nrho = 4.0",  # repeated key
+    "seed = -1",
+    "function_battery = nope",
+    "function_count = -3",
+    "function_count = 0",
+    "weight_battery = power-weights",  # no experiment reads a weight battery
 ])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, line):
     cfgfile = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from varharm import (Domain1D, GridFunction, KernelSpec, ScaleFamily,
                      grand_maximal_variation, kernel_difference_variation,
                      seq_variation_bruteforce, seq_variation_dp,
                      variation_operator)
-from varharm.variation import _variation_dp_batch
+from varharm.grid import KERNEL_KINDS
+from varharm.variation import (_turning_points, _variation_dp_batch,
+                               _variation_dp_full)
 
 
 def test_seq_variation_hand_examples():
@@ -94,6 +97,101 @@ def test_variation_dp_batch_equals_rows_exactly():
             # may round differently from the array loop in the last bit
             seq = np.array([seq_variation_dp(r, rho) for r in rows])
             assert np.max(np.abs(flat - seq) / seq) <= 4 * np.finfo(float).eps
+
+
+def _turning_point_rows(rng, m):
+    """Rows that stress the turning-point reduction, 240 of length m."""
+    ties = rng.integers(0, 3, (40, m)).astype(float)
+    ties[::2] = np.repeat(ties[::2, ::4], 4, axis=1)[:, :m]  # long plateaus
+    return np.concatenate([
+        rng.standard_normal((40, m)),
+        ties,
+        rng.integers(-1, 2, (40, m)) * 1e-17,
+        # one-ulp wiggles on a plateau at 1, as FFT round-off leaves them
+        1.0 + rng.integers(-2, 3, (40, m)) * np.finfo(float).eps,
+        np.cumsum(rng.standard_normal((40, m)), axis=1),
+        np.sin(np.linspace(0.0, 9.0, m) + rng.random((40, 1))),
+    ])
+
+
+def test_turning_points_keep_ends_and_first_entries_of_extrema():
+    rows = np.array([[0, 1, 1, 2, 1, 1, 1, 3],
+                     [3, 1, 1, 1, 1, 1, 1, 1],
+                     [0, 2, 2, 2, 2, 2, 2, 2],
+                     [5, 5, 5, 5, 5, 5, 5, 5],
+                     [0, 1, 2, 3, 4, 5, 6, 7],
+                     [0, 1, 0, 1, 0, 1, 0, 1]], dtype=float)
+    keep = _turning_points(rows.T)
+    assert [np.flatnonzero(r).tolist() for r in keep] == [
+        [0, 3, 4, 7], [0, 7], [0, 7], [0, 7], [0, 7], list(range(8))]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 37])
+def test_variation_dp_batch_equals_full_dp_exactly(m):
+    rng = np.random.default_rng(60 + m)
+    rows = _turning_point_rows(rng, m)
+    for rho in (1.5, 2.5, 3.0):
+        for a in (rows, np.asfortranarray(rows), rows.reshape(4, 60, m),
+                  np.asfortranarray(rows.reshape(4, 60, m))):
+            got = _variation_dp_batch(a, rho)
+            assert got.shape == a.shape[:-1]
+            assert np.array_equal(got, _variation_dp_full(a, rho))
+        # |x|^rho overflows to inf on both paths alike
+        with np.errstate(over="ignore"):
+            huge = _variation_dp_batch(rows * 1e300, rho)
+            assert np.array_equal(huge, _variation_dp_full(rows * 1e300, rho))
+        assert m < 2 or np.isinf(huge).any()
+
+
+def test_variation_dp_batch_keeps_every_point_of_nonfinite_rows():
+    rng = np.random.default_rng(66)
+    a = rng.standard_normal((6, 9))
+    a[0, 4] = np.nan
+    a[1, 2:4] = np.inf  # adjacent equal infinities: inf - inf is NaN
+    a[2, [1, 6]] = -np.inf
+    a[3, [0, 8]] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = _variation_dp_batch(a, 3.0)
+        assert np.array_equal(got, _variation_dp_full(a, 3.0), equal_nan=True)
+    assert np.isnan(got[:2]).all() and np.isfinite(got[4:]).all()
+
+
+@pytest.mark.parametrize("cells", [768, 3072])
+def test_variation_dp_batch_equals_full_dp_on_fft_families(cells):
+    d = Domain1D(-8.0, 8.0, cells)
+    fam = ScaleFamily.for_domain(d)
+    rng = np.random.default_rng(67)
+    # phi_t * 1_[-1,1] is a plateau at 1 for small t, wiggling in the last bit
+    funcs = (GridFunction.indicator(d, -1.0, 1.0),
+             GridFunction(d, rng.standard_normal(cells)))
+    for kind in KERNEL_KINDS:
+        for f in funcs:
+            convs = convolve_family(f, KernelSpec(kind), fam)
+            assert convs.flags.f_contiguous
+            for rho in (2.5, 3.0):
+                assert np.array_equal(_variation_dp_batch(convs, rho),
+                                      _variation_dp_full(convs, rho))
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_variation_dp_batch_memory_stays_near_full_dp():
+    d = Domain1D(-8.0, 8.0, 3072)
+    fam = ScaleFamily.for_domain(d)
+    f = GridFunction.indicator(d, -1.0, 1.0)
+    for kind in KERNEL_KINDS:
+        convs = convolve_family(f, KernelSpec(kind), fam)
+        assert convs.shape == (3072, 37) and convs.flags.f_contiguous
+        full = _traced_peak(_variation_dp_full, convs, 3.0)
+        assert _traced_peak(_variation_dp_batch, convs, 3.0) <= 1.25 * full
 
 
 def test_seq_variation_pointwise_bound():
