@@ -3,37 +3,38 @@
 Each experiment walks a battery of test functions / weights, records
 (lhs, rhs, ratio) rows, and emits a CSV table plus a JSON summary. Runs
 are deterministic under a fixed seed; only the JSON header carries a
-timestamp.
+timestamp. One `RunContext` per run holds what the cases share; each case
+runs inside `RatioTable.case`, which turns any exception it raises into a
+`failure:` row with that case's id and parameters.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .atoms import make_atom, sgn_atom
 from .grid import Domain1D, GridFunction, KernelSpec, ScaleFamily, lp_norm, weak_l1_norm
 from .lattice import cube_domain_ranges, default_lattices
-from .oscillation import (Ball, WitnessPlacementError, bmo_nu_norm,
-                          cal_bmo_omega_norm, oscillation_witness)
+from .oscillation import Ball, bmo_nu_norm, cal_bmo_omega_norm, oscillation_witness
 from .sparse import domination_check
 from .variation import commutator_variation, kernel_difference_variation, variation_operator
 from .weights import Weight, a1_constant, ainf_constant, ap_constant, bloom_weight, power_weight
 
 EXPERIMENT_IDS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
 
+_RHO_MAX = 64.0  # above it |difference|^rho underflows: E7 writes lhs = 0 at rho = 128
+_MAX_FINEST_CELLS = 65536  # the finest grid, cells * 2**refine, a run may allocate
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
-
-
-_FLOAT_FIELDS = {"left", "right", "t_max", "scale_ratio", "rho"}
-_INT_FIELDS = {"cells", "function_count", "seed", "refine", "scale_count"}
-_TUPLE_FIELDS = {"p_list", "weight_params"}
 
 
 @dataclass
@@ -58,26 +59,29 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENT_IDS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        for name in sorted(_FLOAT_FIELDS):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        for name in sorted(_TUPLE_FIELDS):
-            if not all(math.isfinite(v) for v in getattr(self, name)):
-                raise ConfigError(f"{name} entries must be finite")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
+            if f.type == "tuple" and not all(math.isfinite(v) for v in value):
+                raise ConfigError(f"{f.name} entries must be finite")
         if not self.left < self.right:
             raise ConfigError("domain requires left < right")
         if self.cells < 16 or (3 * self.cells) % 2 != 0:
             raise ConfigError("cells must be >= 16 with 3N even for the lattices")
+        if self.refine < 0:
+            raise ConfigError("refine must be nonnegative")
+        # cells * 2**refine > cap, without building 2**refine for a huge refine
+        if self.cells > _MAX_FINEST_CELLS >> self.refine:
+            raise ConfigError(f"cells * 2**refine must not exceed {_MAX_FINEST_CELLS}")
         if self.kernel not in ("gaussian-heat", "poisson", "compact-bump"):
             raise ConfigError(f"kernel {self.kernel!r} not usable as approximate identity")
-        if self.rho <= 2:
-            raise ConfigError("experiments require rho > 2")
+        if not 2 < self.rho <= _RHO_MAX:
+            raise ConfigError(f"experiments require 2 < rho <= {_RHO_MAX:g}")
         if not 0 < self.scale_ratio < 1:
             raise ConfigError("scale_ratio must lie in (0, 1)")
         if any(p <= 1 for p in self.p_list) and self.experiment in ("E1", "E5", "E6"):
             raise ConfigError("p_list entries must exceed 1 for this experiment")
-        if self.refine < 0:
-            raise ConfigError("refine must be nonnegative")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.function_battery not in _FUNCTION_BATTERIES:
@@ -92,9 +96,6 @@ class ExperimentConfig:
     def domain(self) -> Domain1D:
         return Domain1D(self.left, self.right, self.cells)
 
-    def kernel_spec(self) -> KernelSpec:
-        return KernelSpec(self.kernel)
-
     def scales(self, domain: Domain1D | None = None) -> ScaleFamily:
         d = domain or self.domain()
         return ScaleFamily.for_domain(d, t_max=self.t_max, ratio=self.scale_ratio,
@@ -105,8 +106,13 @@ def _float_list(text: str) -> tuple:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+# value parser per field annotation of ExperimentConfig (a string, see __future__)
+_PARSERS = {"str": str, "int": int, "float": float, "tuple": _float_list}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Flat key = value lines, '#' comments, comma-separated lists."""
+    parsers = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -117,18 +123,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = (part.strip() for part in line.split("=", 1))
         if key in kwargs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _FLOAT_FIELDS:
-            parse = float
-        elif key in _INT_FIELDS:
-            parse = int
-        elif key in _TUPLE_FIELDS:
-            parse = _float_list
-        elif key in ("experiment", "kernel", "function_battery", "out_dir"):
-            parse = str
-        else:
+        if key not in parsers:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            kwargs[key] = parse(val)
+            kwargs[key] = parsers[key](val)
         except ValueError:
             raise ConfigError(f"line {lineno}: cannot parse {key} = {val!r}") from None
     if "experiment" not in kwargs:
@@ -196,23 +194,6 @@ def _mixed_battery(domain: Domain1D, count: int, rng) -> list:
             + _oscillatory_battery(domain, n_osc, rng))
 
 
-def _power_weight_battery(domain: Domain1D, params) -> list:
-    return [(f"pow{a:+g}", power_weight(a, domain)) for a in params]
-
-
-def _perturbed_weight_battery(domain: Domain1D, count: int, rng) -> list:
-    x = domain.x()
-    span = domain.length
-    out = []
-    for i in range(count):
-        phase = 2.0 * math.pi * rng.random()
-        freq = 1.0 + 3.0 * rng.random()
-        eps = 0.2 + 0.4 * rng.random()
-        vals = np.exp(eps * np.cos(freq * 2.0 * math.pi * (x - domain.left) / span + phase))
-        out.append((f"pert{i}", Weight(GridFunction(domain, vals), tag=f"pert{i}")))
-    return out
-
-
 _FUNCTION_BATTERIES = {
     "indicators": _indicator_battery,
     "random-bumps": _bump_battery,
@@ -221,17 +202,11 @@ _FUNCTION_BATTERIES = {
 }
 
 
-def battery_generate(spec: str, seed: int, domain: Domain1D,
-                     count: int = 12, params=None) -> list:
-    """Seeded battery of test functions or weights, keyed by spec name."""
-    rng = np.random.default_rng(seed)
-    if spec in _FUNCTION_BATTERIES:
-        return _FUNCTION_BATTERIES[spec](domain, count, rng)
-    if spec == "power-weights":
-        return _power_weight_battery(domain, params or (-0.3, 0.0, 0.3, 0.6))
-    if spec == "perturbed-constant-weights":
-        return _perturbed_weight_battery(domain, count, rng)
-    raise ConfigError(f"unknown battery spec {spec!r}")
+def battery_generate(spec: str, seed: int, domain: Domain1D, count: int = 12) -> list:
+    """Seeded battery of test functions, keyed by spec name."""
+    if spec not in _FUNCTION_BATTERIES:
+        raise ConfigError(f"unknown battery spec {spec!r}")
+    return _FUNCTION_BATTERIES[spec](domain, count, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +241,17 @@ class RatioTable:
     def add_failure(self, case_id: str, params: dict, message: str) -> None:
         self.rows.append(RatioRow(case_id, params, math.nan, math.nan,
                                   math.nan, flag=f"failure:{message}"))
+
+    @contextlib.contextmanager
+    def case(self, case_id: str, params: dict):
+        """Guard one case: the block ends by recording its row with the yielded
+        `add(lhs, rhs, flag="", **more_params)`; an exception records a failure."""
+        def add(lhs: float, rhs: float, flag: str = "", **more) -> None:
+            self.add(case_id, {**params, **more}, lhs, rhs, flag)
+        try:
+            yield add
+        except Exception as exc:  # noqa: BLE001 - failure rows by contract
+            self.add_failure(case_id, params, str(exc))
 
     @property
     def param_keys(self) -> list:
@@ -316,65 +302,77 @@ class RatioTable:
 
 
 # ---------------------------------------------------------------------------
+# run context
+
+class RunContext:
+    """What the cases of one run share: the domain, scales and kernel, plus the
+    lattices, the function battery and the `once` values, each built on first use."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.domain = cfg.domain()
+        self.scales = cfg.scales(self.domain)
+        self.kernel = KernelSpec(cfg.kernel)
+        self._memo = {}
+
+    def once(self, key, fn, *args):
+        """fn(*args) on the first call for key, the stored value after."""
+        if key not in self._memo:
+            self._memo[key] = fn(*args)
+        return self._memo[key]
+
+    @cached_property
+    def lattices(self) -> list:
+        return default_lattices(self.domain)
+
+    @cached_property
+    def funcs(self) -> list:
+        return battery_generate(self.cfg.function_battery, self.cfg.seed,
+                                self.domain, self.cfg.function_count)
+
+    def weight(self, a: float) -> Weight:
+        return self.once(("weight", a), power_weight, a, self.domain)
+
+    def variation(self, f) -> GridFunction:
+        return variation_operator(f, self.kernel, self.scales, self.cfg.rho).grid_function()
+
+    def commutator(self, f, b) -> GridFunction:
+        return commutator_variation(f, b, self.kernel, self.scales, self.cfg.rho).grid_function()
+
+
+# ---------------------------------------------------------------------------
 # experiments
 
 def _strong_exponent(p: float) -> float:
     return max(1.0, 1.0 / (p - 1.0))
 
 
-def _admissible_power_params(params, p: float):
-    return [a for a in params if -1.0 < a < p - 1.0]
+def _run_e1(ctx: RunContext, table: RatioTable) -> None:
+    for p in ctx.cfg.p_list:
+        for a in [a for a in ctx.cfg.weight_params if -1.0 < a < p - 1.0]:
+            for fid, f in ctx.funcs:
+                with table.case(f"{fid}|p={p}|a={a:+g}", {"p": p, "power": a}) as add:
+                    w = ctx.weight(a)
+                    apc = ctx.once(("ap", p, a), ap_constant, w, p, ctx.lattices)
+                    lhs = lp_norm(ctx.once(("profile", fid), ctx.variation, f), p, w)
+                    rhs = apc ** _strong_exponent(p) * lp_norm(f, p, w)
+                    add(lhs, rhs, ap=apc)
 
 
-def _run_e1(cfg: ExperimentConfig) -> RatioTable:
-    table = RatioTable("E1")
-    d = cfg.domain()
-    scales = cfg.scales(d)
-    kernel = cfg.kernel_spec()
-    lattices = default_lattices(d)
-    funcs = battery_generate(cfg.function_battery, cfg.seed, d, cfg.function_count)
-    profiles = {fid: variation_operator(f, kernel, scales, cfg.rho).grid_function()
-                for fid, f in funcs}
-    for p in cfg.p_list:
-        for a in _admissible_power_params(cfg.weight_params, p):
-            w = power_weight(a, d)
-            apc = ap_constant(w, p, lattices)
-            for fid, f in funcs:
-                lhs = lp_norm(profiles[fid], p, w)
-                rhs = apc ** _strong_exponent(p) * lp_norm(f, p, w)
-                table.add(f"{fid}|p={p}|a={a:+g}",
-                          {"p": p, "power": a, "ap": apc}, lhs, rhs)
-    return table
+def _run_e2(ctx: RunContext, table: RatioTable) -> None:
+    for a in [a for a in ctx.cfg.weight_params if -1.0 < a <= 0.0]:
+        for fid, f in ctx.funcs:
+            with table.case(f"{fid}|a={a:+g}", {"power": a}) as add:
+                w = ctx.weight(a)
+                a1c = ctx.once(("a1", a), a1_constant, w, ctx.lattices)
+                ainfc = ctx.once(("ainf", a), ainf_constant, w, ctx.lattices)
+                lhs = weak_l1_norm(ctx.once(("profile", fid), ctx.variation, f), w)
+                rhs = a1c * math.log(math.e + ainfc) * lp_norm(f, 1.0, w)
+                add(lhs, rhs, a1=a1c, ainf=ainfc)
 
 
-def _run_e2(cfg: ExperimentConfig) -> RatioTable:
-    table = RatioTable("E2")
-    d = cfg.domain()
-    scales = cfg.scales(d)
-    kernel = cfg.kernel_spec()
-    lattices = default_lattices(d)
-    funcs = battery_generate(cfg.function_battery, cfg.seed, d, cfg.function_count)
-    a1_params = [a for a in cfg.weight_params if -1.0 < a <= 0.0]
-    profiles = {fid: variation_operator(f, kernel, scales, cfg.rho).grid_function()
-                for fid, f in funcs}
-    for a in a1_params:
-        w = power_weight(a, d)
-        a1c = a1_constant(w, lattices)
-        ainfc = ainf_constant(w, lattices)
-        factor = a1c * math.log(math.e + ainfc)
-        for fid, f in funcs:
-            lhs = weak_l1_norm(profiles[fid], w)
-            rhs = factor * lp_norm(f, 1.0, w)
-            table.add(f"{fid}|a={a:+g}",
-                      {"power": a, "a1": a1c, "ainf": ainfc}, lhs, rhs)
-    return table
-
-
-def _run_e3(cfg: ExperimentConfig) -> RatioTable:
-    table = RatioTable("E3")
-    d = cfg.domain()
-    scales = cfg.scales(d)
-    kernel = cfg.kernel_spec()
+def _run_e3(ctx: RunContext, table: RatioTable) -> None:
+    cfg, d = ctx.cfg, ctx.domain
     radii = [2.0 ** e for e in (-4, -3, -2, -1, 0, 1, 2)]
     ps = [p for p in cfg.p_list if 0.5 < p <= 1.0] or [0.7, 1.0]
     weights = [("lebesgue", Weight.constant(d)),
@@ -386,77 +384,52 @@ def _run_e3(cfg: ExperimentConfig) -> RatioTable:
         for p in ps:
             for wid, w in weights:
                 case = f"atom|r=2^{math.log2(r):+.0f}|p={p}|{wid}"
-                try:
+                with table.case(case, {"radius": r, "p": p}) as add:
                     atom = make_atom(p, 2.0, 0, w, ball, seed=cfg.seed + i)
-                except Exception as exc:  # noqa: BLE001 - failure rows by contract
-                    table.add_failure(case, {"radius": r, "p": p}, str(exc))
-                    continue
-                prof = variation_operator(atom.values, kernel, scales,
-                                          cfg.rho).grid_function()
-                lhs = lp_norm(prof, p, w)
-                table.add(case, {"radius": r, "p": p}, lhs, 1.0)
-    return table
+                    add(lp_norm(ctx.variation(atom.values), p, w), 1.0)
 
 
-def _run_e4(cfg: ExperimentConfig) -> RatioTable:
-    table = RatioTable("E4")
-    d = cfg.domain()
-    scales = cfg.scales(d)
-    kernel = cfg.kernel_spec()
-    lattices = default_lattices(d)
-    funcs = battery_generate(cfg.function_battery, cfg.seed, d, cfg.function_count)
-    for fid, f in funcs:
-        if not np.any(f.values):
-            table.add(fid, {}, 0.0, 1.0)
-            continue
-        try:
-            rep = domination_check(f, kernel, scales, cfg.rho, lattices=lattices)
-        except Exception as exc:  # noqa: BLE001
-            table.add_failure(fid, {}, str(exc))
-            continue
-        flag = "" if rep.n_failures == 0 else f"denominator-zero:{rep.n_failures}"
-        table.add(fid, {"n_cubes": float(sum(rep.family_sizes))},
-                  rep.max_ratio, 1.0, flag=flag)
-    return table
+def _run_e4(ctx: RunContext, table: RatioTable) -> None:
+    for fid, f in ctx.funcs:
+        with table.case(fid, {}) as add:
+            if not np.any(f.values):
+                add(0.0, 1.0)
+            else:
+                rep = domination_check(f, ctx.kernel, ctx.scales, ctx.cfg.rho,
+                                       lattices=ctx.lattices)
+                flag = "" if rep.n_failures == 0 else f"denominator-zero:{rep.n_failures}"
+                add(rep.max_ratio, 1.0, flag=flag, n_cubes=float(sum(rep.family_sizes)))
 
 
-def _run_e5(cfg: ExperimentConfig) -> RatioTable:
-    table = RatioTable("E5")
-    d = cfg.domain()
-    scales = cfg.scales(d)
-    kernel = cfg.kernel_spec()
-    lattices = default_lattices(d)
-    ranges = cube_domain_ranges(lattices)
+def _run_e5(ctx: RunContext, table: RatioTable) -> None:
+    cfg, d = ctx.cfg, ctx.domain
     rng = np.random.default_rng(cfg.seed)
     bs = _oscillatory_battery(d, 3, rng) + [("b=x", GridFunction(d, d.x()))]
     funcs = battery_generate(cfg.function_battery, cfg.seed + 1, d,
                              max(cfg.function_count // 3, 2))
-    pairs = [(-0.3, 0.3), (0.0, 0.3), (-0.3, 0.0)]
-    # the profile depends on (b, f) only, not on p or the weights
-    profiles = {(bid, fid): commutator_variation(f, b, kernel, scales,
-                                                 cfg.rho).grid_function()
-                for bid, b in bs for fid, f in funcs}
     for p in cfg.p_list:
-        for amu, alam in pairs:
+        for amu, alam in [(-0.3, 0.3), (0.0, 0.3), (-0.3, 0.0)]:
             if not (-1.0 < amu < p - 1.0 and -1.0 < alam < p - 1.0):
                 continue
-            mu, lam = power_weight(amu, d), power_weight(alam, d)
-            nu = bloom_weight(mu, lam, p)
-            factor = (ap_constant(mu, p, lattices)
-                      * ap_constant(lam, p, lattices)) ** _strong_exponent(p)
+            pair = (p, amu, alam)
             for bid, b in bs:
-                bnorm = bmo_nu_norm(b, nu, ranges)
                 for fid, f in funcs:
                     case = f"{bid}|{fid}|p={p}|mu={amu:+g}|lam={alam:+g}"
-                    lhs = lp_norm(profiles[bid, fid], p, lam)
-                    rhs = factor * bnorm * lp_norm(f, p, mu)
-                    table.add(case, {"p": p, "mu_pow": amu, "lam_pow": alam},
-                              lhs, rhs)
-    return table
+                    with table.case(case, {"p": p, "mu_pow": amu, "lam_pow": alam}) as add:
+                        mu, lam = ctx.weight(amu), ctx.weight(alam)
+                        ap_mu = ctx.once(("ap mu", *pair), ap_constant, mu, p, ctx.lattices)
+                        ap_lam = ctx.once(("ap lam", *pair), ap_constant, lam, p, ctx.lattices)
+                        nu = ctx.once(("nu", *pair), bloom_weight, mu, lam, p)
+                        ranges = ctx.once("ranges", cube_domain_ranges, ctx.lattices)
+                        bnorm = ctx.once(("bmo", *pair, bid), bmo_nu_norm, b, nu, ranges)
+                        # the profile depends on (b, f) only, not on p or the weights
+                        prof = ctx.once(("commutator", bid, fid), ctx.commutator, f, b)
+                        rhs = ((ap_mu * ap_lam) ** _strong_exponent(p)
+                               * bnorm * lp_norm(f, p, mu))
+                        add(lp_norm(prof, p, lam), rhs)
 
 
-def _witness_geometry(cells: int, delta_param: float = 2.5,
-                      tau: float = 0.125) -> tuple[int, int]:
+def _witness_geometry(cells: int, delta_param: float = 2.5) -> tuple[int, int]:
     """A cube near the right of the domain whose companion stays inside."""
     kq = max(16, cells // 8)
     kq -= kq % 16  # tau |Q| must be an even cell count for tau = 1/8
@@ -465,93 +438,69 @@ def _witness_geometry(cells: int, delta_param: float = 2.5,
     return qs, qs + kq
 
 
-def _run_e6(cfg: ExperimentConfig) -> RatioTable:
-    table = RatioTable("E6")
-    d = cfg.domain()
+def _run_e6(ctx: RunContext, table: RatioTable) -> None:
+    cfg, d = ctx.cfg, ctx.domain
     tau = 0.125
     delta_param = 2.5
     rng = np.random.default_rng(cfg.seed)
     bs = (_oscillatory_battery(d, 6, rng)
           + [("b=x", GridFunction(d, d.x())),
              ("b=saw", GridFunction(d, np.abs((d.x() * 0.5) % 2.0 - 1.0)))])
-    qs, qe = _witness_geometry(d.cells, delta_param, tau)
+    qs, qe = _witness_geometry(d.cells, delta_param)
     for p in cfg.p_list:
         for amu, alam in [(-0.3, 0.3), (0.3, -0.3), (0.0, 0.0)]:
             if not (-1.0 < amu < p - 1.0 and -1.0 < alam < p - 1.0):
                 continue
-            mu, lam = power_weight(amu, d), power_weight(alam, d)
-            pprime = p / (p - 1.0)
-            qvals_mu = mu.values[qs:qe]
-            qvals_lam = lam.values[qs:qe]
-            rhs = (float(qvals_mu.mean()) ** (1.0 / p)
-                   * float((qvals_lam ** (-pprime / p)).mean()) ** (1.0 / pprime))
             for bid, b in bs:
                 case = f"{bid}|p={p}|mu={amu:+g}|lam={alam:+g}"
-                try:
+                with table.case(case, {"p": p, "mu_pow": amu, "lam_pow": alam}) as add:
+                    mu, lam = ctx.weight(amu), ctx.weight(alam)
                     wit = oscillation_witness(b, (qs, qe), tau, delta_param,
                                               mu=mu, p=p)
-                except (WitnessPlacementError, ValueError) as exc:
-                    table.add_failure(case, {"p": p}, str(exc))
-                    continue
-                flag = "degenerate" if wit.degenerate else ""
-                table.add(case, {"p": p, "mu_pow": amu, "lam_pow": alam},
-                          wit.a_tau, rhs, flag=flag)
-    return table
+                    pprime = p / (p - 1.0)
+                    rhs = (float(mu.values[qs:qe].mean()) ** (1.0 / p)
+                           * float((lam.values[qs:qe] ** (-pprime / p)).mean())
+                           ** (1.0 / pprime))
+                    add(wit.a_tau, rhs, flag="degenerate" if wit.degenerate else "")
 
 
-def _run_e7(cfg: ExperimentConfig) -> RatioTable:
-    table = RatioTable("E7")
-    d = cfg.domain()
-    scales = cfg.scales(d)
-    kernel = cfg.kernel_spec()
+def _run_e7(ctx: RunContext, table: RatioTable) -> None:
+    cfg, d = ctx.cfg, ctx.domain
     rng = np.random.default_rng(cfg.seed)
     bs = _oscillatory_battery(d, 4, rng)
     balls = [Ball(0.0, 1.0), Ball(-2.0, 0.5), Ball(1.0, 2.0)]
     norm_balls = [Ball(c, r) for c in (-4.0, -2.0, 0.0, 2.0, 4.0)
                   for r in (0.25, 0.5, 1.0, 2.0)]
-    a1_params = [a for a in cfg.weight_params if -1.0 < a <= 0.0] or [0.0]
-    for a in a1_params:
-        w = power_weight(a, d)
+    for a in [a for a in cfg.weight_params if -1.0 < a <= 0.0] or [0.0]:
         for bid, b in bs:
-            rhs = cal_bmo_omega_norm(b, w, norm_balls).norm
             for ball in balls:
-                atoms = []
-                sa = sgn_atom(b, ball, w)
-                if not sa.degenerate:
-                    atoms.append(("sgn", sa.values))
-                try:
-                    ra = make_atom(1.0, 2.0, 0, w, ball, seed=cfg.seed)
-                    atoms.append(("rand", ra.values))
-                except Exception as exc:  # noqa: BLE001
-                    table.add_failure(f"{bid}|rand|{ball.center}|a={a:+g}",
-                                      {"power": a}, str(exc))
-                for kind, avals in atoms:
+                params = {"power": a, "center": ball.center, "radius": ball.radius}
+                for kind in ("sgn", "rand"):
                     case = f"{bid}|{kind}|c={ball.center:g}|r={ball.radius:g}|a={a:+g}"
-                    prof = commutator_variation(avals, b, kernel, scales,
-                                                cfg.rho).grid_function()
-                    lhs = lp_norm(prof, 1.0, w)
-                    table.add(case, {"power": a, "center": ball.center,
-                                     "radius": ball.radius}, lhs, rhs)
-    return table
+                    with table.case(case, params) as add:
+                        w = ctx.weight(a)
+                        rhs = ctx.once(("cal", a, bid), cal_bmo_omega_norm,
+                                       b, w, norm_balls).norm
+                        if kind == "sgn":
+                            atom = sgn_atom(b, ball, w)
+                            if atom.degenerate:
+                                continue
+                        else:
+                            atom = make_atom(1.0, 2.0, 0, w, ball, seed=cfg.seed)
+                        add(lp_norm(ctx.commutator(atom.values, b), 1.0, w), rhs)
 
 
-def _run_e8(cfg: ExperimentConfig) -> RatioTable:
-    table = RatioTable("E8")
-    d = cfg.domain()
-    scales = cfg.scales(d)
-    kernel = cfg.kernel_spec()
-    rng = np.random.default_rng(cfg.seed)
-    count = max(cfg.function_count, 50)
-    for i in range(count):
+def _run_e8(ctx: RunContext, table: RatioTable) -> None:
+    rng = np.random.default_rng(ctx.cfg.seed)
+    for i in range(max(ctx.cfg.function_count, 50)):
         xi = float(-2.0 + 4.0 * rng.random())
         dz = float(0.01 + 0.2 * rng.random())
         z = xi - dz
         side = 1.0 if rng.random() < 0.5 else -1.0
         y = xi + side * (4.0 * dz + 4.0 * rng.random())
-        lhs = kernel_difference_variation(kernel, xi, z, y, scales, cfg.rho)
-        rhs = abs(z - xi) / (xi - y) ** 2
-        table.add(f"triple{i:03d}", {"xi": xi, "z": z, "y": y}, lhs, rhs)
-    return table
+        with table.case(f"triple{i:03d}", {"xi": xi, "z": z, "y": y}) as add:
+            lhs = kernel_difference_variation(ctx.kernel, xi, z, y, ctx.scales, ctx.cfg.rho)
+            add(lhs, abs(z - xi) / (xi - y) ** 2)
 
 
 _RUNNERS = {"E1": _run_e1, "E2": _run_e2, "E3": _run_e3, "E4": _run_e4,
@@ -560,17 +509,16 @@ _RUNNERS = {"E1": _run_e1, "E2": _run_e2, "E3": _run_e3, "E4": _run_e4,
 
 def run_experiment(cfg: ExperimentConfig) -> RatioTable:
     """Run one experiment; with cfg.refine > 0 also run doubled grids and
-    record the worst consecutive max-ratio drift as the refinement factor."""
+    record the worst consecutive max-ratio drift as the refinement factor.
+    Raises ConfigError when the config leaves the experiment no case."""
     cfg.validate()
-    table = _RUNNERS[cfg.experiment](cfg)
-    if cfg.refine > 0:
-        maxima = [table.summary()["max_ratio"]]
-        for k in range(1, cfg.refine + 1):
-            finer = replace(cfg, cells=cfg.cells * 2 ** k, refine=0)
-            maxima.append(_RUNNERS[cfg.experiment](finer).summary()["max_ratio"])
-        factors = []
-        for a, b in zip(maxima, maxima[1:]):
-            if a and b:
-                factors.append(max(a / b, b / a))
-        table.refinement_factor = max(factors) if factors else None
-    return table
+    tables = []
+    for k in range(cfg.refine + 1):
+        tables.append(RatioTable(cfg.experiment))
+        _RUNNERS[cfg.experiment](RunContext(replace(cfg, cells=cfg.cells * 2 ** k)), tables[-1])
+        if not tables[-1].rows:
+            raise ConfigError(f"the config leaves {cfg.experiment} no case to run")
+    maxima = [t.summary()["max_ratio"] for t in tables]
+    factors = [max(a / b, b / a) for a, b in zip(maxima, maxima[1:]) if a and b]
+    tables[0].refinement_factor = max(factors, default=None)
+    return tables[0]

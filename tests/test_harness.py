@@ -1,12 +1,15 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varharm import (Domain1D, GridFunction, RatioTable, Weight,
-                     battery_generate, parse_config, power_weight,
-                     run_experiment)
+from varharm import (Domain1D, GridFunction, RatioTable, battery_generate,
+                     harness, parse_config, power_weight, run_experiment)
 from varharm.cli import main as cli_main
 from varharm.harness import ConfigError, ExperimentConfig
 
@@ -71,11 +74,6 @@ def test_battery_determinism_and_heads():
 
 def test_battery_weights_and_errors():
     d = Domain1D(-8.0, 8.0, 192)
-    pws = battery_generate("power-weights", 0, d, params=(0.0, 0.3))
-    assert len(pws) == 2
-    assert np.array_equal(pws[0][1].values, power_weight(0.0, d).values)
-    perts = battery_generate("perturbed-constant-weights", 5, d, count=4)
-    assert all(isinstance(w, Weight) for _, w in perts)
     with pytest.raises(ConfigError):
         battery_generate("nonsense", 0, d)
 
@@ -205,6 +203,10 @@ def test_cli_config_errors(tmp_path):
     "function_count = -3",
     "function_count = 0",
     "weight_battery = power-weights",  # no experiment reads a weight battery
+    "rho = 1e300",          # the powers |difference|^rho over- or underflow
+    "rho = 65",
+    "refine = 30",          # finest grid cells * 2**refine above the cap
+    "cells = 1000000",
 ])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, line):
     cfgfile = tmp_path / "bad.cfg"
@@ -212,6 +214,111 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys, line):
     assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "E5.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, line", [
+    ("E1", "p_list = "),
+    ("E5", "p_list = "),
+    ("E6", "p_list = "),
+    ("E1", "weight_params = "),
+    ("E2", "weight_params = "),
+    ("E1", "weight_params = 5.0"),  # no admissible power weight
+    ("E2", "weight_params = 5.0"),
+])
+def test_cli_rejects_config_without_cases(tmp_path, capsys, experiment, line):
+    cfgfile = tmp_path / "empty.cfg"
+    cfgfile.write_text(f"experiment = {experiment}\ncells = 96\n{line}\n")
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, layer", [
+    ("E1", "variation_operator"),
+    ("E2", "variation_operator"),
+    ("E3", "variation_operator"),
+    ("E4", "domination_check"),
+    ("E5", "commutator_variation"),
+    ("E6", "oscillation_witness"),
+    ("E7", "commutator_variation"),
+    ("E8", "kernel_difference_variation"),
+])
+def test_case_errors_become_failure_rows(tmp_path, monkeypatch, experiment, layer):
+    text = f"experiment = {experiment}\ncells = 96\nfunction_count = 3\n"
+    expected = [r.case_id for r in run_experiment(parse_config(text)).rows]
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(harness, layer, broken)
+    table = run_experiment(parse_config(text))
+    assert [r.case_id for r in table.rows] == expected
+    assert all(r.flag.startswith("failure:") for r in table.rows)
+    assert any(r.flag == "failure:injected" for r in table.rows)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+
+
+_BAD_VALUES = ("", "nan", "inf", "-inf", "1e300", "-1e300", "-5", "0", "abc", "1e999")
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# per key: (in-range values, bad values)
+_FUZZ_VALUES = {
+    "experiment": (st.sampled_from(harness.EXPERIMENT_IDS), ("E9", "")),
+    "left": (_floats(-10.0, -1.0), _BAD_VALUES),
+    "right": (_floats(1.0, 10.0), _BAD_VALUES),
+    "kernel": (st.sampled_from(["gaussian-heat", "poisson", "compact-bump"]),
+               ("flat-bump", "")),
+    "t_max": (_floats(0.5, 8.0), _BAD_VALUES),
+    "scale_ratio": (_floats(0.3, 0.95), _BAD_VALUES),
+    "scale_count": (st.integers(1, 16).map(str), _BAD_VALUES),
+    "rho": (_floats(2.05, 64.0), _BAD_VALUES + ("2", "64.5")),
+    "p_list": (st.lists(_floats(1.05, 6.0), max_size=3).map(", ".join),
+               ("nan, 2", "1e300", "2, abc", "0.5")),
+    "weight_params": (st.lists(_floats(-0.9, 0.9), max_size=4).map(", ".join),
+                      ("inf", "1e300, 0", "abc")),
+    "function_battery": (st.sampled_from(["mixed", "indicators", "oscillatory",
+                                          "random-bumps"]), ("power-weights", "")),
+    "function_count": (st.integers(1, 6).map(str), _BAD_VALUES),
+    "seed": (st.integers(0, 2 ** 70).map(str), _BAD_VALUES),
+}
+
+
+@st.composite
+def _config_text(draw):
+    """Random config text. Half the examples keep every value in range, with a
+    grid of at most 192 finest cells; the other half mix in bad values, grids
+    rejected before allocation, unknown and duplicate keys and lines without '='."""
+    broken = draw(st.booleans())
+    optional = sorted(set(_FUZZ_VALUES) - {"experiment"})
+    lines = []
+    for key in ["experiment", *draw(st.lists(st.sampled_from(optional), unique=True))]:
+        good, bad = _FUZZ_VALUES[key]
+        lines.append(f"{key} = {draw(st.one_of(good, st.sampled_from(bad)) if broken else good)}")
+    grids = [st.tuples(st.just(n), st.integers(0, (192 // n).bit_length() - 1))
+             for n in (16, 48, 96, 192)]
+    if broken:
+        grids += [st.tuples(st.sampled_from([-4, 0, 17, 10 ** 6, 10 ** 30]),
+                            st.integers(-1, 2)),
+                  st.tuples(st.just(96), st.sampled_from([-1, 30, 10 ** 9]))]
+        lines.append(draw(st.sampled_from(["flavor = salted", "experiment = E8", "cells 96", ""])))
+    cells, refine = draw(st.one_of(grids))
+    lines += [f"cells = {cells}", f"refine = {refine}"]
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_config_text())
+def test_cli_run_fuzzed_config_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as out:
+        cfgfile = Path(out) / "fuzz.cfg"
+        cfgfile.write_text(text)
+        assert cli_main(["run", "--config", str(cfgfile), "--out", out]) in (0, 2, 3)
 
 
 def test_cli_info(tmp_path, capsys):
