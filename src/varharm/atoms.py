@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, KernelSpec, ScaleFamily, _recentred, smooth_maximal
+from .grid import GridFunction, KernelSpec, ScaleFamily, _bump_raw, _recentred, smooth_maximal
 from .oscillation import Ball
 from .weights import Weight
 
@@ -97,9 +97,7 @@ def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball,
         raise ValueError("ball too small for the requested moment degree")
     x = d.x()[cs:ce]
     u = (x - ball.center) / ball.radius
-    bump = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    bump[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    bump = _bump_raw(u)
 
     rng = np.random.default_rng(seed)
     for _ in range(resamples):

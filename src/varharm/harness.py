@@ -31,6 +31,7 @@ EXPERIMENT_IDS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
 
 _RHO_MAX = 64.0  # above it |difference|^rho underflows: E7 writes lhs = 0 at rho = 128
 _MAX_FINEST_CELLS = 65536  # the finest grid, cells * 2**refine, a run may allocate
+_MAX_ENTRIES = 1 << 22  # floats (32 MB) in one battery or scale stack on the finest grid
 
 
 class ConfigError(ValueError):
@@ -88,6 +89,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown function battery {self.function_battery!r}")
         if self.function_count < 1:
             raise ConfigError("function_count must be positive")
+        # checked before self.scales(), which lists all scale_count scales, then clips
+        limit = _MAX_ENTRIES // (self.cells << self.refine)
+        if max(self.function_count, self.scale_count) > limit:
+            raise ConfigError(f"function_count and scale_count must not exceed {limit} on this grid")
         try:
             self.scales()
         except ValueError as exc:

@@ -173,11 +173,30 @@ def cube_domain_ranges(lattices, min_cells: int = 1,
             starts.append(s[keep])
             ends.append(e[keep])
     s, e = np.concatenate(starts), np.concatenate(ends)
-    key = np.unique((e - s) * (n + 1) + s)
+    key = _sorted_unique((e - s) * (n + 1) + s)
     s = key % (n + 1)
     e = s + key // (n + 1)
     assert np.all((0 <= s) & (s < e) & (e <= n))
     return list(zip(s.tolist(), e.tolist()))
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique by sort and compare: np.unique imports numpy.ma on first call."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _width_groups(ranges):
+    """Yields (width, rows, cells) per range width: row i of the index matrix
+    cells holds the cells of range rows[i]. Row reductions along axis 1 add
+    in the same order as a reduction over the slice of one range."""
+    r = np.asarray(ranges, dtype=np.intp).reshape(-1, 2)
+    widths = r[:, 1] - r[:, 0]
+    for width in _sorted_unique(widths).tolist():
+        rows = np.flatnonzero(widths == width)
+        yield width, rows, r[rows, 0][:, None] + np.arange(width)
 
 
 def hl_maximal(f: GridFunction, lattices=None, exhaustive: bool = False) -> GridFunction:

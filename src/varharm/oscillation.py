@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Domain1D, GridFunction, ResolutionError, _recentred
+from .lattice import _width_groups
 from .weights import Weight
 
 
@@ -38,22 +39,10 @@ class Ball:
         return s, e
 
 
-def _width_groups(ranges):
-    """The ranges grouped by width: yields (width, cells), where row i of the
-    (k, width) index matrix cells holds the cells of the i-th range of that
-    width. Row reductions along axis 1 add in the same order as a reduction
-    over the slice of one range."""
-    r = np.asarray(ranges, dtype=np.intp).reshape(-1, 2)
-    widths = r[:, 1] - r[:, 0]
-    for width in np.unique(widths).tolist():
-        starts = r[widths == width, 0]
-        yield width, starts[:, None] + np.arange(width)
-
-
 def bmo_norm(b: GridFunction, ranges) -> float:
     """sup over the cube set of the mean oscillation <|b - <b>_Q|>_Q."""
     best = 0.0
-    for _, cells in _width_groups(ranges):
+    for _, _, cells in _width_groups(ranges):
         osc = np.abs(_recentred(b.values[cells])).mean(axis=1)
         best = max(best, float(osc.max()))
     return best
@@ -63,7 +52,7 @@ def bmo_nu_norm(b: GridFunction, nu: Weight, ranges) -> float:
     """sup over the cube set of (1/nu(Q)) int_Q |b - <b>_Q|."""
     h = b.domain.h
     best = 0.0
-    for _, cells in _width_groups(ranges):
+    for _, _, cells in _width_groups(ranges):
         osc = np.abs(_recentred(b.values[cells])).sum(axis=1) * h
         measure = nu.values[cells].sum(axis=1) * h
         best = max(best, float((osc / measure).max()))
@@ -168,7 +157,7 @@ def bmo_nu_equivalence(b: GridFunction, nu: Weight, ranges,
     lhs = bmo_nu_norm(b, nu, usable)
     h = b.domain.h
     rhs = 0.0
-    for width, cells in _width_groups(usable):
+    for width, _, cells in _width_groups(usable):
         a = _window_oscillation(b.values[cells], tau)
         measure = nu.values[cells].sum(axis=1) * h
         rhs = max(rhs, float((width * h / measure * a).max()))

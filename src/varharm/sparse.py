@@ -1,10 +1,11 @@
 """Sparse families via a stopping-time construction and the sparse operators.
 
-The builder starts at the lattice root and recursively selects the maximal
-subcubes whose tripled averages exceed a fixed multiple of the parent's
-tripled average; if selected subcubes ever cover more than half of their
-parent, the threshold multiplier is doubled and the build restarts, which
-pins the sparsity parameter at eta = 1/2.
+Below each selected cube (the lattice root first) the builder selects the
+maximal subcubes whose tripled averages exceed a fixed multiple of that
+cube's. Cube (level, j) has heap id 2^level - 1 + j and parent (id - 1) // 2;
+the walk runs level by level on arrays over these ids. If the cubes selected
+below a cube cover more than half of it, the threshold multiplier is doubled
+and the walk reruns on the same averages, which pins eta at 1/2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, KernelSpec, ScaleFamily, _recentred
-from .lattice import Cube, DyadicLattice, default_lattices
+from .lattice import DyadicLattice, _width_groups, default_lattices
 from .variation import variation_operator
 
 
@@ -35,23 +36,13 @@ class SparseFamily:
     cubes: list  # list[Cube]
     e_sets: dict  # Cube -> np.ndarray of root-grid cell indices
     eta: float
+    c0: float | None = None  # threshold multiplier the builder ended with
 
     def to_json(self) -> str:
         def ranges(cells):
             cells = np.sort(np.asarray(cells))
-            out = []
-            if len(cells) == 0:
-                return out
-            start = prev = int(cells[0])
-            for c in cells[1:]:
-                c = int(c)
-                if c == prev + 1:
-                    prev = c
-                    continue
-                out.append([start, prev + 1])
-                start = prev = c
-            out.append([start, prev + 1])
-            return out
+            runs = np.split(cells, np.flatnonzero(np.diff(cells) != 1) + 1)
+            return [[int(r[0]), int(r[-1]) + 1] for r in runs if len(r)]
 
         return json.dumps({
             "lattice": {"shift": self.lattice.shift, "depth": self.lattice.depth},
@@ -88,59 +79,59 @@ def validate_sparse(family: SparseFamily) -> SparseReport:
     return SparseReport(ok=not violations, violations=violations)
 
 
-def _tripled_avg(f_root: np.ndarray, cube: Cube) -> float:
-    """Average of |f| over 3Q clipped to the domain (zero if 3Q misses it)."""
-    s, e = cube.tripled_domain_cell_range()
-    if e <= s:
-        return 0.0
-    return float(np.abs(f_root[s:e]).mean())
-
-
 def build_sparse_family(f: GridFunction, lattice: DyadicLattice,
                         c0: float = 2.0, max_escalations: int = 10) -> SparseFamily:
-    """Stopping-time sparse family for f on one lattice; eta = 1/2 guaranteed."""
+    """Stopping-time sparse family for f on one lattice; eta = 1/2 guaranteed.
+
+    avg[id] is the mean of |f| over 3Q clipped to the domain (0 off it), as
+    width-grouped row means: equal to slice means bit for bit, so the exact
+    `>` ties of the stopping rule resolve as on slices."""
     if not np.any(f.values):
         raise ValueError("sparse construction requires f not identically zero")
     if c0 <= 1:
         raise ValueError("threshold multiplier must exceed 1")
-    vals = f.values
-
+    levels = np.arange(lattice.depth + 1)
+    level = np.repeat(levels, 1 << levels)
+    ids = np.arange(len(level))
+    index = ids + 1 - (1 << level)
+    width = lattice.root_cells >> level
+    start = lattice.offset_cells + (index - 1) * width
+    s, e = np.maximum(start, 0), np.minimum(start + 3 * width, lattice.domain.cells)
+    live = np.flatnonzero(e > s)
+    avg = np.zeros(len(ids))
+    for _, rows, cells in _width_groups(np.stack([s[live], e[live]], axis=1)):
+        avg[live[rows]] = np.abs(f.values[cells]).mean(axis=1)
     for _ in range(max_escalations + 1):
-        root = lattice.cube(0, 0)
-        cubes = [root]
-        e_sets = {}
-        ok = True
-        stack = [root]
-        while stack and ok:
-            q = stack.pop()
-            thr = c0 * _tripled_avg(vals, q)
-            selected = []
-            if q.level < lattice.depth:
-                scan = list(q.children())
-                while scan:
-                    p = scan.pop()
-                    if _tripled_avg(vals, p) > thr:
-                        selected.append(p)
-                    elif p.level < lattice.depth:
-                        scan.extend(p.children())
-            covered = sum(p.width_cells for p in selected)
-            if covered > q.width_cells // 2:
-                ok = False
-                break
-            qs, qe = q.root_cell_range()
-            mask = np.ones(qe - qs, dtype=bool)
-            for p in selected:
-                ps, pe = p.root_cell_range()
-                mask[ps - qs:pe - qs] = False
-            e_sets[q] = np.flatnonzero(mask) + qs
-            cubes.extend(selected)
-            stack.extend(selected)
-        if ok:
-            return SparseFamily(lattice, cubes, e_sets, eta=0.5)
+        # stop[id]: the last selected cube on the path from the root to id
+        stop = np.zeros(len(ids), dtype=np.intp)
+        for lv in levels[1:]:
+            i = ids[level == lv]
+            up = stop[(i - 1) // 2]
+            stop[i] = np.where(avg[i] > c0 * avg[up], i, up)
+        sel = np.flatnonzero(stop == ids)
+        covered = np.bincount(stop[(sel[1:] - 1) // 2], weights=width[sel[1:]],
+                              minlength=len(ids))
+        if np.all(covered <= width // 2):
+            break
         c0 *= 2.0
+    else:
+        raise SparseConstructionError(f"threshold escalation exceeded {max_escalations} doublings")
+    # root cells go to E_Q of the last selected Q above their leaf; ancestors have smaller ids
+    owner = stop[len(ids) // 2 + np.arange(lattice.root_cells) // width[-1]]
+    cubes = [lattice.cube(int(level[i]), int(index[i])) for i in sel]
+    e_sets = {q: np.flatnonzero(owner == i) for q, i in zip(cubes, sel)}
+    return SparseFamily(lattice, cubes, e_sets, eta=0.5, c0=c0)
 
-    raise SparseConstructionError(
-        f"threshold escalation exceeded {max_escalations} doublings")
+
+def _sum_over_cubes(family: SparseFamily, f: GridFunction, term) -> GridFunction:
+    """sum over Q of term(s, e, |Q|) on the domain cells [s, e) of Q, added
+    cube by cube in family order; cubes off the domain add nothing."""
+    out = np.zeros(f.domain.cells)
+    for cube in family.cubes:
+        s, e = cube.domain_cell_range()
+        if e > s:
+            out[s:e] += term(s, e, cube.width_cells)
+    return GridFunction(f.domain, out)
 
 
 def sparse_operator(family: SparseFamily, f: GridFunction) -> GridFunction:
@@ -148,32 +139,17 @@ def sparse_operator(family: SparseFamily, f: GridFunction) -> GridFunction:
 
     Averages use the full cube measure with f extended by zero.
     """
-    n = f.domain.cells
-    out = np.zeros(n)
-    for cube in family.cubes:
-        s, e = cube.domain_cell_range()
-        if e <= s:
-            continue
-        avg = np.abs(f.values[s:e]).sum() / cube.width_cells
-        out[s:e] += avg
-    return GridFunction(f.domain, out)
+    return _sum_over_cubes(family, f, lambda s, e, w: np.abs(f.values[s:e]).sum() / w)
 
 
 def sparse_commutator(family: SparseFamily, b: GridFunction,
                       f: GridFunction) -> GridFunction:
-    """T_{S,b} f(x) = sum_Q |b(x) - <b>_Q| <|f|>_Q chi_Q(x)."""
+    """T_{S,b} f(x) = sum_Q |b(x) - <b>_Q| <|f|>_Q chi_Q(x), with <b>_Q taken
+    over the cells of Q inside the domain, where b lives."""
     if not b.same_domain(f):
         raise ValueError("b and f must share a domain")
-    n = f.domain.cells
-    out = np.zeros(n)
-    for cube in family.cubes:
-        s, e = cube.domain_cell_range()
-        if e <= s:
-            continue
-        avg_f = np.abs(f.values[s:e]).sum() / cube.width_cells
-        # <b>_Q is taken over the cells of Q inside the domain, where b lives
-        out[s:e] += np.abs(_recentred(b.values[s:e])) * avg_f
-    return GridFunction(f.domain, out)
+    return _sum_over_cubes(family, f, lambda s, e, w: (
+        np.abs(_recentred(b.values[s:e])) * (np.abs(f.values[s:e]).sum() / w)))
 
 
 def sparse_commutator_star(family: SparseFamily, b: GridFunction,
@@ -181,15 +157,8 @@ def sparse_commutator_star(family: SparseFamily, b: GridFunction,
     """T*_{S,b} f(x) = sum_Q <|(b - <b>_Q) f|>_Q chi_Q(x)."""
     if not b.same_domain(f):
         raise ValueError("b and f must share a domain")
-    n = f.domain.cells
-    out = np.zeros(n)
-    for cube in family.cubes:
-        s, e = cube.domain_cell_range()
-        if e <= s:
-            continue
-        avg = np.abs(_recentred(b.values[s:e]) * f.values[s:e]).sum() / cube.width_cells
-        out[s:e] += avg
-    return GridFunction(f.domain, out)
+    return _sum_over_cubes(family, f, lambda s, e, w: (
+        np.abs(_recentred(b.values[s:e]) * f.values[s:e]).sum() / w))
 
 
 @dataclass
@@ -197,7 +166,7 @@ class DominationReport:
     max_ratio: float
     n_failures: int  # points with zero denominator but positive variation
     family_sizes: list
-    c0_used: float
+    c0_used: list  # threshold multiplier per lattice, after escalation
 
 
 def domination_check(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
@@ -209,17 +178,13 @@ def domination_check(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
     """
     if lattices is None:
         lattices = default_lattices(f.domain)
-    prof = variation_operator(f, kernel, scales, rho)
-    total = np.zeros(f.domain.cells)
-    sizes = []
-    for lat in lattices:
-        fam = build_sparse_family(f, lat, c0=c0)
-        sizes.append(len(fam.cubes))
-        total += sparse_operator(fam, f).values
-    num = prof.values
+    num = variation_operator(f, kernel, scales, rho).values
+    fams = [build_sparse_family(f, lat, c0=c0) for lat in lattices]
+    total = sum((sparse_operator(fam, f).values for fam in fams), np.zeros(f.domain.cells))
     pos = total > 0
     ratios = np.zeros_like(num)
     ratios[pos] = num[pos] / total[pos]
     failures = int(np.count_nonzero(~pos & (num > 1e-9)))
-    return DominationReport(max_ratio=float(ratios.max(initial=0.0)),
-                            n_failures=failures, family_sizes=sizes, c0_used=c0)
+    return DominationReport(max_ratio=float(ratios.max(initial=0.0)), n_failures=failures,
+                            family_sizes=[len(fam.cubes) for fam in fams],
+                            c0_used=[fam.c0 for fam in fams])

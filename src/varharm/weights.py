@@ -111,15 +111,14 @@ def a1_constant(w: Weight, lattices=None, exhaustive: bool = False) -> float:
 def ainf_constant(w: Weight, lattices=None, max_level: int | None = None) -> float:
     """Fujii-Wilson constant sup_Q (1/w(Q)) int_Q M(chi_Q w) over lattice cubes.
 
-    The supremum runs over cubes of level at most max_level, by default
-    min(depth, 8): a truncation the value depends on. M is the lattice
-    maximal function of hl_maximal, evaluated on the cells of Q only, for
-    all cubes of one (lattice, level) at once.
+    The supremum runs over cubes of level at most max_level (default: every
+    level). M is the lattice maximal function of hl_maximal, evaluated on
+    the cells of Q only, for all cubes of one (lattice, level) at once.
     """
     if lattices is None:
         lattices = default_lattices(w.domain)
     if max_level is None:
-        max_level = min(lattices[0].depth, 8)
+        max_level = lattices[0].depth
     vals = w.values
     idx = np.arange(w.domain.cells)
 

@@ -207,6 +207,8 @@ def test_cli_config_errors(tmp_path):
     "rho = 65",
     "refine = 30",          # finest grid cells * 2**refine above the cap
     "cells = 1000000",
+    "function_count = 1000000",  # battery or scale stack above 1 << 22 floats
+    "scale_count = 100000000\nscale_ratio = 0.99999999",
 ])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, line):
     cfgfile = tmp_path / "bad.cfg"

@@ -1,9 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from varharm import (AlignmentError, Domain1D, GridFunction,
                      cube_domain_ranges, default_lattices, hl_maximal,
                      lattices_for_domain, m_half, max_aligned_depth)
+from varharm.lattice import _sorted_unique
 
 
 def test_alignment_error():
@@ -158,3 +162,33 @@ def test_cube_domain_ranges_equal_cube_enumeration(cells, min_cells,
                              full_cubes_only=full_cubes_only)
     assert got == expect
     assert all(type(s) is int and type(e) is int for s, e in got)
+
+
+@pytest.mark.parametrize("cells", [96, 3072])
+@pytest.mark.parametrize("min_cells", [1, 4])
+def test_cube_domain_ranges_equal_np_unique_dedupe(cells, min_cells):
+    # the sort-and-compare dedupe returns what np.unique of the keys returned
+    d = Domain1D(-8.0, 8.0, cells)
+    lats = default_lattices(d)
+    n = d.cells
+    keys = [(e - s) * (n + 1) + s for lat in lats for cube in lat.cubes()
+            for s, e in [cube.domain_cell_range()] if e - s >= min_cells]
+    key = np.unique(np.array(keys))
+    start = key % (n + 1)
+    expect = list(zip(start.tolist(), (start + key // (n + 1)).tolist()))
+    assert cube_domain_ranges(lats, min_cells=min_cells) == expect
+    rng = np.random.default_rng(3)
+    for a in (np.array([], dtype=np.intp), np.array([7]), rng.integers(0, 40, 500),
+              rng.integers(-10**12, 10**12, 300)):
+        assert np.array_equal(_sorted_unique(a), np.unique(a))
+
+
+def test_cube_sweeps_load_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call; the cube sweeps avoid it
+    code = ("import sys, varharm as v; d = v.Domain1D(-8.0, 8.0, 96); "
+            "lats = v.default_lattices(d); f = v.GridFunction.indicator(d, -1.0, 1.0); "
+            "v.bmo_norm(f, v.cube_domain_ranges(lats)); v.build_sparse_family(f, lats[0]); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

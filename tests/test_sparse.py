@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from varharm import (Domain1D, GridFunction, KernelSpec, ScaleFamily,
-                     SparseFamily, build_sparse_family, default_lattices,
-                     domination_check, lattices_for_domain, sparse_commutator,
-                     sparse_commutator_star, sparse_operator, validate_sparse)
+                     SparseConstructionError, SparseFamily, build_sparse_family,
+                     default_lattices, domination_check, lattices_for_domain,
+                     sparse_commutator, sparse_commutator_star, sparse_operator,
+                     validate_sparse)
 
 
 def _unit_cube_family():
@@ -146,4 +147,92 @@ def test_domination_check_indicator():
     assert rep.n_failures == 0
     assert 0.0 < rep.max_ratio < 100.0
     assert len(rep.family_sizes) == 3
-    assert rep.c0_used == 2.0
+    # lattices 0 and 2 escalate once: 2 -> 4
+    assert rep.c0_used == [4.0, 2.0, 4.0]
+
+
+def _tripled_avg(f_root, cube):
+    s, e = cube.tripled_domain_cell_range()
+    if e <= s:
+        return 0.0
+    return float(np.abs(f_root[s:e]).mean())
+
+
+def _tree_walk_family(f, lattice, c0=2.0, max_escalations=10):
+    """The stopping-time tree walk cube by cube, restarted from the root on
+    each threshold doubling: the exactness oracle of the array builder."""
+    vals = f.values
+    for _ in range(max_escalations + 1):
+        root = lattice.cube(0, 0)
+        cubes = [root]
+        e_sets = {}
+        ok = True
+        stack = [root]
+        while stack and ok:
+            q = stack.pop()
+            thr = c0 * _tripled_avg(vals, q)
+            selected = []
+            if q.level < lattice.depth:
+                scan = list(q.children())
+                while scan:
+                    p = scan.pop()
+                    if _tripled_avg(vals, p) > thr:
+                        selected.append(p)
+                    elif p.level < lattice.depth:
+                        scan.extend(p.children())
+            covered = sum(p.width_cells for p in selected)
+            if covered > q.width_cells // 2:
+                ok = False
+                break
+            qs, qe = q.root_cell_range()
+            mask = np.ones(qe - qs, dtype=bool)
+            for p in selected:
+                ps, pe = p.root_cell_range()
+                mask[ps - qs:pe - qs] = False
+            e_sets[q] = np.flatnonzero(mask) + qs
+            cubes.extend(selected)
+            stack.extend(selected)
+        if ok:
+            return SparseFamily(lattice, cubes, e_sets, eta=0.5, c0=c0)
+        c0 *= 2.0
+    raise SparseConstructionError("escalation cap")
+
+
+def _oracle_inputs(d):
+    rng = np.random.default_rng(20240901)
+    spike = GridFunction.indicator(d, -1.0, 1.0).values + \
+        8.0 * GridFunction.indicator(d, 2.0, 2.25).values
+    return {"indicator": GridFunction.indicator(d, -1.0, 1.0),
+            "spike": GridFunction(d, spike),
+            "random": GridFunction(d, rng.standard_normal(d.cells))}
+
+
+@pytest.mark.parametrize("cells", [96, 384])
+def test_builder_equals_tree_walk_oracle(cells):
+    d = Domain1D(-8.0, 8.0, cells)
+    escalated = 0
+    for f in _oracle_inputs(d).values():
+        for lat in default_lattices(d):
+            for c0 in (2.0, 1.5, 1.1):
+                want = _tree_walk_family(f, lat, c0)
+                got = build_sparse_family(f, lat, c0)
+                assert got.c0 == want.c0
+                assert set(got.cubes) == set(want.cubes)
+                for q in want.cubes:
+                    assert np.array_equal(got.e_sets[q], want.e_sets[q])
+                assert np.array_equal(sparse_operator(got, f).values,
+                                      sparse_operator(want, f).values)
+                # every cube is listed after all of its ancestors
+                for k, q in enumerate(got.cubes):
+                    s, e = q.root_cell_range()
+                    for p in got.cubes[k + 1:]:
+                        ps, pe = p.root_cell_range()
+                        assert not (ps <= s and e <= pe and pe - ps > e - s)
+                doublings = int(round(np.log2(want.c0 / c0)))
+                if doublings:
+                    escalated += 1
+                    with pytest.raises(SparseConstructionError):
+                        _tree_walk_family(f, lat, c0, max_escalations=doublings - 1)
+                    with pytest.raises(SparseConstructionError):
+                        build_sparse_family(f, lat, c0, max_escalations=doublings - 1)
+    assert escalated > 0

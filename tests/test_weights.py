@@ -205,6 +205,6 @@ def test_ainf_constant_equals_per_cube_definition(cells, kind):
     lats = default_lattices(d)
     depth = lats[0].depth
     for max_level in (None, 0, 3, depth):
-        cap = min(depth, 8) if max_level is None else max_level
+        cap = depth if max_level is None else max_level
         assert ainf_constant(w, lats, max_level=max_level) == \
             _ainf_per_cube(w, lats, cap)
