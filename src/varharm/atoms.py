@@ -18,6 +18,8 @@ from .grid import GridFunction, KernelSpec, ScaleFamily, _bump_raw, _recentred, 
 from .oscillation import Ball
 from .weights import Weight
 
+_RESAMPLES = 8  # seeded candidates make_atom draws before it gives up
+
 
 class AtomConstructionError(RuntimeError):
     """Moment projection annihilated every resampled candidate."""
@@ -83,8 +85,7 @@ def validate_atom(atom: Atom, tol: float = 1e-9) -> AtomReport:
     return AtomReport(ok=not issues, issues=issues)
 
 
-def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball,
-              seed: int, resamples: int = 8) -> Atom:
+def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball, seed: int) -> Atom:
     """Seeded random atom: smooth bump minus its polynomial projection,
     rescaled so the weighted norm meets the target exactly."""
     if not (q > 1 or math.isinf(q)):
@@ -100,7 +101,7 @@ def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball,
     bump = _bump_raw(u)
 
     rng = np.random.default_rng(seed)
-    for _ in range(resamples):
+    for _ in range(_RESAMPLES):
         coeffs = rng.standard_normal(8)
         g = np.zeros_like(u)
         for k in range(4):
@@ -120,7 +121,8 @@ def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball,
         norm = atom.weighted_norm()
         atom.values.values *= atom.norm_target() / norm
         return atom
-    raise AtomConstructionError("projection annihilated the sample 8 times")
+    raise AtomConstructionError(
+        f"projection annihilated the sample {_RESAMPLES} times")
 
 
 @dataclass

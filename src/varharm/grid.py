@@ -96,11 +96,15 @@ class GridFunction:
                 sx, sv = line.strip().split(",")
                 xs.append(float(sx))
                 vs.append(float(sv))
+        if len(xs) < 2:
+            raise ValueError(f"need at least 2 rows, got {len(xs)}")
         xs = np.asarray(xs)
         vs = np.asarray(vs)
         if domain is None:
             h = xs[1] - xs[0]
             domain = Domain1D(xs[0] - h / 2, xs[-1] + h / 2, len(xs))
+            if np.abs(xs - domain.x()).max() > 1e-3 * domain.h:
+                raise ValueError("x values are not a uniform grid of cell midpoints")
         return cls(domain, vs)
 
 

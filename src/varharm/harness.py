@@ -282,7 +282,10 @@ class RatioTable:
                 for k in keys:
                     v = r.params.get(k, "")
                     cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-                cells += [f"{r.lhs:.17g}", f"{r.rhs:.17g}", f"{r.ratio:.17g}", r.flag]
+                flag = r.flag
+                if any(c in flag for c in ',"\r\n'):  # RFC 4180 quoting
+                    flag = '"' + flag.replace('"', '""') + '"'
+                cells += [f"{r.lhs:.17g}", f"{r.rhs:.17g}", f"{r.ratio:.17g}", flag]
                 fh.write(",".join(cells) + "\n")
 
     def summary(self) -> dict:

@@ -58,17 +58,14 @@ class DyadicLattice:
     def cube(self, level: int, index: int) -> "Cube":
         return Cube(self, level, index)
 
-    def cubes(self, max_level: int | None = None):
+    def cubes(self):
         """Iterate the cubes meeting the domain, level by level."""
-        top = self.depth if max_level is None else min(max_level, self.depth)
-        n = self.domain.cells
-        for level in range(top + 1):
-            w = self.width_cells(level)
+        for level in range(self.depth + 1):
             for j in range(1 << level):
-                start = self.offset_cells + j * w
-                if start >= n or start + w <= 0:
-                    continue
-                yield Cube(self, level, j)
+                cube = Cube(self, level, j)
+                s, e = cube.domain_cell_range()
+                if s < e:
+                    yield cube
 
 
 @dataclass(frozen=True)
@@ -155,24 +152,31 @@ def default_lattices(domain: Domain1D, depth: int | None = None) -> list[DyadicL
     return lattices_for_domain(domain, depth)
 
 
-def cube_domain_ranges(lattices, min_cells: int = 1,
-                       full_cubes_only: bool = False) -> list[tuple[int, int]]:
-    """Deduplicated clipped cell ranges of all lattice cubes meeting the domain,
-    sorted by (width, start)."""
-    n = lattices[0].domain.cells
-    starts, ends = [], []
+def _level_starts(lattices) -> list[tuple[np.ndarray, int]]:
+    """(starts, width) per (lattice, level): starts is True on each domain
+    cell where a cube of that level begins, the first cell included."""
+    parts = []
     for lat in lattices:
         for level in range(lat.depth + 1):
             w = lat.width_cells(level)
-            start = lat.offset_cells + w * np.arange(1 << level)
-            start = start[(start < n) & (start + w > 0)]
-            s, e = np.maximum(start, 0), np.minimum(start + w, n)
-            keep = e - s >= min_cells
-            if full_cubes_only:
-                keep &= e - s == w
-            starts.append(s[keep])
-            ends.append(e[keep])
-    s, e = np.concatenate(starts), np.concatenate(ends)
+            starts = np.zeros(lat.domain.cells, dtype=bool)
+            starts[0] = True
+            starts[lat.offset_cells % w::w] = True
+            parts.append((starts, w))
+    return parts
+
+
+def _runs(starts: np.ndarray) -> np.ndarray:
+    """(K, 2) half-open cell ranges into which a start mask cuts the domain."""
+    b = np.append(np.flatnonzero(starts), len(starts))
+    return np.stack([b[:-1], b[1:]], axis=1)
+
+
+def cube_domain_ranges(lattices) -> list[tuple[int, int]]:
+    """Deduplicated clipped cell ranges of all lattice cubes meeting the domain,
+    sorted by (width, start)."""
+    n = lattices[0].domain.cells
+    s, e = np.concatenate([_runs(starts) for starts, _ in _level_starts(lattices)]).T
     key = _sorted_unique((e - s) * (n + 1) + s)
     s = key % (n + 1)
     e = s + key // (n + 1)
@@ -211,17 +215,18 @@ def hl_maximal(f: GridFunction, lattices=None, exhaustive: bool = False) -> Grid
         return _hl_maximal_exhaustive(f)
     if lattices is None:
         lattices = default_lattices(f.domain)
-    n = f.domain.cells
-    a = np.abs(f.values)
-    idx = np.arange(n)
-    out = np.zeros(n)
-    for lat in lattices:
-        for level in range(lat.depth + 1):
-            w = lat.width_cells(level)
-            cube_idx = (idx - lat.offset_cells) // w
-            sums = np.bincount(cube_idx, weights=a, minlength=cube_idx.max() + 1)
-            np.maximum(out, sums[cube_idx] / w, out=out)
-    return GridFunction(f.domain, out)
+    return GridFunction(f.domain, _lattice_maximal(np.abs(f.values), _level_starts(lattices)))
+
+
+def _lattice_maximal(a: np.ndarray, parts, cut: np.ndarray | None = None) -> np.ndarray:
+    """Running max over the (starts, width) parts of the sum of a over each
+    cell's cube over its full width; bincount adds each bin in cell order.
+    A start mask cut splits the cubes P further, into Q cap P."""
+    out = np.zeros(len(a))
+    for starts, width in parts:
+        key = np.cumsum(starts if cut is None else starts | cut) - 1
+        np.maximum(out, np.bincount(key, weights=a)[key] / width, out=out)
+    return out
 
 
 def _hl_maximal_exhaustive(f: GridFunction) -> GridFunction:

@@ -1,9 +1,9 @@
 """Oscillation functionals: BMO-type norms, medians, local mean oscillation,
 the quantile equivalence, and the oscillation-witness construction.
 
-Cube arguments are half-open grid cell ranges (start, stop); the lattice
-cube set provides the default sweep, with an all-intervals oracle for
-small grids.
+Cube arguments are half-open grid cell ranges (start, stop). The sweeps
+run over the range set their caller passes, usually the lattice cubes of
+`cube_domain_ranges`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Domain1D, GridFunction
-from .lattice import cube_domain_ranges, default_lattices, hl_maximal
+from .lattice import (_lattice_maximal, _level_starts, _runs, _width_groups,
+                      cube_domain_ranges, default_lattices, hl_maximal)
 
 
 @dataclass
@@ -62,18 +63,15 @@ class WeightConstants:
         }, indent=2)
 
 
-def _interval_ranges(n: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(n) for b in range(a + 1, n + 1)]
-
-
-def _ranges(w: Weight, lattices, exhaustive: bool) -> list[tuple[int, int]]:
+def _ranges(w: Weight, lattices, exhaustive: bool) -> np.ndarray:
+    """(K, 2) cell ranges: every interval (exhaustive) or the lattice cubes."""
     if exhaustive:
         if w.domain.cells > 512:
             raise ValueError("exhaustive interval mode limited to N <= 512")
-        return _interval_ranges(w.domain.cells)
+        return np.stack(np.triu_indices(w.domain.cells + 1, 1), axis=1)
     if lattices is None:
         lattices = default_lattices(w.domain)
-    return cube_domain_ranges(lattices)
+    return np.array(cube_domain_ranges(lattices))
 
 
 def ap_constant(w: Weight, p: float, lattices=None, exhaustive: bool = False) -> float:
@@ -83,23 +81,21 @@ def ap_constant(w: Weight, p: float, lattices=None, exhaustive: bool = False) ->
     pprime = p / (p - 1.0)
     vals = w.values
     with np.errstate(over="ignore"):
-        dual = vals ** (1.0 - pprime)
-    if np.any(np.isinf(dual)):
-        # the dual density overflows double precision; the constant is
-        # beyond any threshold of interest
+        cd = np.concatenate([[0.0], np.cumsum(vals ** (1.0 - pprime))])
+    if not np.all(np.isfinite(cd)):
+        # the dual density or its sums overflow double precision; the
+        # constant is beyond any threshold of interest
         return math.inf
     cw = np.concatenate([[0.0], np.cumsum(vals)])
-    with np.errstate(over="ignore"):
-        cd = np.concatenate([[0.0], np.cumsum(dual)])
-    if not np.all(np.isfinite(cd)):
+    s, e = _ranges(w, lattices, exhaustive).T
+    avg_w = (cw[e] - cw[s]) / (e - s)
+    avg_d = (cd[e] - cd[s]) / (e - s)
+    # Python float powers: numpy's array power can differ from C pow by an ulp
+    try:
+        return max([0.0] + [a * d ** (p - 1.0)
+                            for a, d in zip(avg_w.tolist(), avg_d.tolist())])
+    except OverflowError:
         return math.inf
-    best = 0.0
-    for s, e in _ranges(w, lattices, exhaustive):
-        k = e - s
-        avg_w = (cw[e] - cw[s]) / k
-        avg_d = (cd[e] - cd[s]) / k
-        best = max(best, avg_w * avg_d ** (p - 1.0))
-    return best
 
 
 def a1_constant(w: Weight, lattices=None, exhaustive: bool = False) -> float:
@@ -108,42 +104,25 @@ def a1_constant(w: Weight, lattices=None, exhaustive: bool = False) -> float:
     return float((m.values / w.values).max())
 
 
-def ainf_constant(w: Weight, lattices=None, max_level: int | None = None) -> float:
-    """Fujii-Wilson constant sup_Q (1/w(Q)) int_Q M(chi_Q w) over lattice cubes.
+def ainf_constant(w: Weight, lattices=None) -> float:
+    """Fujii-Wilson constant sup_Q (1/w(Q)) int_Q M(chi_Q w) over the cubes
+    of every lattice level.
 
-    The supremum runs over cubes of level at most max_level (default: every
-    level). M is the lattice maximal function of hl_maximal, evaluated on
-    the cells of Q only, for all cubes of one (lattice, level) at once.
+    M is the lattice maximal function of hl_maximal, evaluated on the cells
+    of Q only, for all cubes of one (lattice, level) at once: cutting the
+    sweep at the cube starts of that level sums w over each Q cap P. The
+    ratio sums are width-grouped row sums, which add as slice sums do.
     """
     if lattices is None:
         lattices = default_lattices(w.domain)
-    if max_level is None:
-        max_level = lattices[0].depth
     vals = w.values
-    idx = np.arange(w.domain.cells)
-
-    def runs(lat, level):
-        """True where a cell starts a new cube of (lat, level)."""
-        cube = (idx - lat.offset_cells) // lat.width_cells(level)
-        return np.diff(cube, prepend=cube[0] - 1) != 0
-
-    parts = [(runs(lat, level), lat.width_cells(level))
-             for lat in lattices for level in range(lat.depth + 1)]
+    parts = _level_starts(lattices)
     best = 0.0
-    for lat in lattices:
-        for level in range(min(max_level, lat.depth) + 1):
-            new_q = runs(lat, level)
-            m = np.zeros(len(vals))
-            for new_p, width in parts:
-                # one bin per nonempty Q cap P; bincount adds in cell order,
-                # as hl_maximal does for chi_Q w
-                key = np.cumsum(new_q | new_p) - 1
-                sums = np.bincount(key, weights=vals)
-                np.maximum(m, sums[key] / width, out=m)
-            bounds = np.append(np.flatnonzero(new_q), len(vals)).tolist()
-            for s, e in zip(bounds[:-1], bounds[1:]):
-                best = max(best, m[s:e].sum() / vals[s:e].sum())
-    return best
+    for cut, _ in parts:
+        m = _lattice_maximal(vals, parts, cut)
+        for _, _, cells in _width_groups(_runs(cut)):
+            best = max(best, (m[cells].sum(axis=1) / vals[cells].sum(axis=1)).max())
+    return float(best)
 
 
 def compute_constants(w: Weight, ps=(1.5, 2.0, 4.0), lattices=None) -> WeightConstants:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tempfile
@@ -332,3 +333,21 @@ def test_cli_info(tmp_path, capsys):
     assert data["a1"] >= 1.0
     assert set(data["ap"]) == {"1.5", "2.0", "4.0"}
     assert cli_main(["info", "--weights", str(tmp_path / "nope.csv")]) == 3
+    # one row, x off a uniform grid, and 5 rows (3N odd: no aligned lattice)
+    for name, xs in [("one", [0.1]), ("skewed", [0.1, 0.3, 0.9, 1.7]),
+                     ("odd", [0.1, 0.3, 0.5, 0.7, 0.9])]:
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("x,value\n" + "".join(f"{x},1.0\n" for x in xs))
+        assert cli_main(["info", "--weights", str(bad)]) == 3
+
+
+def test_failure_flag_with_commas_is_quoted(tmp_path):
+    # E6 at 16 cells fails every case with "cells [1, 17) leave the domain"
+    cfgfile = tmp_path / "e6.cfg"
+    cfgfile.write_text("experiment = E6\ncells = 16\n")
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    with open(tmp_path / "E6.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows and all(len(r) == len(header) for r in rows)
+    assert {r[-1] for r in rows} == {
+        "failure:companion cube cells [1, 17) leave the domain"}

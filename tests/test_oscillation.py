@@ -137,7 +137,7 @@ def test_local_mean_oscillation_matches_slow_scan():
 
 def test_bmo_nu_equivalence_reports():
     d = Domain1D(-8.0, 8.0, 384)
-    ranges = cube_domain_ranges(default_lattices(d), min_cells=8)
+    ranges = cube_domain_ranges(default_lattices(d))
     nu = Weight.constant(d)
     const = GridFunction(d, np.full(d.cells, 1.5))
     rep = bmo_nu_equivalence(const, nu, ranges)

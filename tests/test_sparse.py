@@ -35,6 +35,17 @@ def test_validate_sparse_accepts_and_rejects():
     assert not validate_sparse(small).ok
 
 
+def test_validate_sparse_names_a_shared_cell():
+    d, q, fam = _unit_cube_family()
+    parent = fam.lattice.cube(1, 1)  # root cells [18, 36), holds q = [27, 36)
+    s, e = q.root_cell_range()
+    shared = SparseFamily(fam.lattice, [parent, q],
+                          {parent: np.arange(18, s + 1), q: np.arange(s, e)}, eta=0.5)
+    rep = validate_sparse(shared)
+    assert not rep.ok
+    assert rep.violations == [((parent, q), f"shared cell {s}")]
+
+
 def test_sparse_operator_single_cube():
     d, q, fam = _unit_cube_family()
     f = GridFunction.indicator(d, 0.0, 1.0)
