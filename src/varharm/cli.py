@@ -35,12 +35,14 @@ def _cmd_run(args) -> int:
             cfg.out_dir = args.out
         if args.refine is not None:
             cfg.refine = args.refine
+        cfg.validate()
+        # before the run: an --out that names a file fails here, not after the work
+        os.makedirs(cfg.out_dir, exist_ok=True)
         table = run_experiment(cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.csv")
     json_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.json")
     table.write_csv(csv_path)

@@ -4,7 +4,10 @@ Functions live on a uniform grid of cell midpoints and are identically
 zero outside their domain (compact support model). All convolutions use
 midpoint quadrature, evaluated on one cached rFFT plan at every grid size;
 scales below twice the grid spacing are rejected to keep aliasing under
-control.
+control. The plan carries a small workspace that the inverse transforms
+run through, a block of scales at a time, so a family allocates only its
+result; the workspace makes `convolve_family` not reentrant (one thread
+at a time per plan).
 """
 
 from __future__ import annotations
@@ -87,15 +90,26 @@ class GridFunction:
 
     @classmethod
     def read_csv(cls, path, domain: Domain1D | None = None) -> "GridFunction":
+        """Read a file written by to_csv: the header 'x,value', then one
+        'x,value' row per cell; blank lines are skipped."""
         xs, vs = [], []
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "x,value":
                 raise ValueError(f"expected header 'x,value', got {header!r}")
-            for line in fh:
-                sx, sv = line.strip().split(",")
-                xs.append(float(sx))
-                vs.append(float(sv))
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                cells = line.split(",")
+                if len(cells) != 2:
+                    raise ValueError(f"line {lineno}: expected 2 comma-separated "
+                                     f"values, got {len(cells)}")
+                try:
+                    xs.append(float(cells[0]))
+                    vs.append(float(cells[1]))
+                except ValueError:
+                    raise ValueError(f"line {lineno}: not a number in "
+                                     f"{line.strip()!r}") from None
         if len(xs) < 2:
             raise ValueError(f"need at least 2 rows, got {len(xs)}")
         xs = np.asarray(xs)
@@ -103,7 +117,8 @@ class GridFunction:
         if domain is None:
             h = xs[1] - xs[0]
             domain = Domain1D(xs[0] - h / 2, xs[-1] + h / 2, len(xs))
-            if np.abs(xs - domain.x()).max() > 1e-3 * domain.h:
+            # written so that a NaN or an overflowed midpoint also fails
+            if not np.all(np.abs(xs - domain.x()) <= 1e-3 * domain.h):
                 raise ValueError("x values are not a uniform grid of cell midpoints")
         return cls(domain, vs)
 
@@ -275,24 +290,35 @@ def _fft_length(cells: int) -> int:
     return 1 << (2 * cells - 2).bit_length()
 
 
+# bytes of real transform output per block of scales: 4 rows at N = 3072, 16
+# at N = 768. The plan keeps its block buffers, so a call allocates (and the
+# OS faults in) only its (m, N) result, not two temporaries of the whole family
+_BLOCK_BYTES = 1 << 18
+
+
 @lru_cache(maxsize=8)
-def _kernel_spectra(kernel: KernelSpec, scales: tuple, domain: Domain1D) -> np.ndarray:
-    """Read-only stack of kernel spectra, one row per scale, shared by every
-    function convolved on the same (kernel, scales, domain)."""
-    spectra = np.fft.rfft(_kernel_samples(kernel, scales, domain),
-                          n=_fft_length(domain.cells), axis=-1)
+def _kernel_spectra(kernel: KernelSpec, scales: tuple,
+                    domain: Domain1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plan of one (kernel, scales, domain): the read-only stack of kernel
+    spectra, one row per scale, and the block workspace, one complex and one
+    real buffer of `rows` rows that every call on the plan overwrites."""
+    size = _fft_length(domain.cells)
+    spectra = np.fft.rfft(_kernel_samples(kernel, scales, domain), n=size, axis=-1)
     spectra.flags.writeable = False
-    return spectra
+    rows = min(len(scales), max(1, _BLOCK_BYTES // (8 * size)))
+    return spectra, np.empty((rows, spectra.shape[1]), complex), np.empty((rows, size))
 
 
 def convolve_family(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
                     method: str = "fft") -> np.ndarray:
     """Matrix of shape (N, m): column k holds phi_{t_k} * f.
 
-    method: "fft" (one rFFT of f times the cached kernel spectra and one
-    inverse transform for the whole family) or "direct" (exact summation,
-    scale by scale, kept as the reference the FFT path is tested against;
-    the two agree up to round-off).
+    method: "fft" (one rFFT of f, then per block of scales the product with
+    the cached kernel spectra and one inverse transform, both into the
+    plan's workspace; each row's arithmetic is that of one transform of the
+    whole family) or "direct" (exact summation, scale by scale, kept as the
+    reference the FFT path is tested against; the two agree up to
+    round-off). Not reentrant: calls on one plan share its workspace.
     """
     d = f.domain
     n = d.cells
@@ -305,9 +331,15 @@ def convolve_family(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
         return np.stack(cols, axis=1)
     if method == "fft":
         size = _fft_length(n)
+        spectra, prod, full = _kernel_spectra(kernel, ts, d)
         spectrum = np.fft.rfft(f.values, n=size)
-        full = np.fft.irfft(_kernel_spectra(kernel, ts, d) * spectrum, n=size, axis=-1)
-        return (d.h * full[:, n - 1:2 * n - 1]).T
+        result = np.empty((len(ts), n))
+        for s in range(0, len(ts), len(full)):
+            k = min(len(full), len(ts) - s)
+            np.multiply(spectra[s:s + k], spectrum, out=prod[:k])
+            np.fft.irfft(prod[:k], n=size, axis=-1, out=full[:k])
+            np.multiply(d.h, full[:k, n - 1:2 * n - 1], out=result[s:s + k])
+        return result.T
     raise ValueError(f"unknown convolution method {method!r}")
 
 

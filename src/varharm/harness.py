@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .atoms import make_atom, sgn_atom
-from .grid import Domain1D, GridFunction, KernelSpec, ScaleFamily, lp_norm, weak_l1_norm
+from .grid import (Domain1D, GridFunction, KernelSpec, ScaleFamily, convolve_family, lp_norm,
+                   weak_l1_norm)
 from .lattice import cube_domain_ranges, default_lattices
 from .oscillation import Ball, bmo_nu_norm, cal_bmo_omega_norm, oscillation_witness
 from .sparse import domination_check
@@ -300,12 +301,14 @@ class RatioTable:
         }
 
     def write_json(self, path, timestamp: bool = True) -> None:
-        payload = dict(self.summary())
+        # strict JSON: a refinement factor that overflowed is written as null
+        payload = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for k, v in self.summary().items()}
         if timestamp:
             payload["generated_at"] = datetime.datetime.now(
                 datetime.timezone.utc).isoformat()
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
 
 
@@ -322,12 +325,23 @@ class RunContext:
         self.scales = cfg.scales(self.domain)
         self.kernel = KernelSpec(cfg.kernel)
         self._memo = {}
+        self._latest = None
 
     def once(self, key, fn, *args):
         """fn(*args) on the first call for key, the stored value after."""
         if key not in self._memo:
             self._memo[key] = fn(*args)
         return self._memo[key]
+
+    def latest(self, key, fn, *args):
+        """fn(*args) for key, kept until a call with another key replaces it.
+
+        For a value that only consecutive cases share: one is held at a time,
+        and the old one is freed only once its successor is built, so its
+        pages are reused rather than handed back to the OS and faulted in again."""
+        if self._latest is None or self._latest[0] != key:
+            self._latest = (key, fn(*args))
+        return self._latest[1]
 
     @cached_property
     def lattices(self) -> list:
@@ -344,8 +358,13 @@ class RunContext:
     def variation(self, f) -> GridFunction:
         return variation_operator(f, self.kernel, self.scales, self.cfg.rho).grid_function()
 
-    def commutator(self, f, b) -> GridFunction:
-        return commutator_variation(f, b, self.kernel, self.scales, self.cfg.rho).grid_function()
+    def convolve(self, f) -> np.ndarray:
+        """The family phi_t * f, for commutators of several b's with one f."""
+        return convolve_family(f, self.kernel, self.scales)
+
+    def commutator(self, f, b, conv_f=None) -> GridFunction:
+        return commutator_variation(f, b, self.kernel, self.scales, self.cfg.rho,
+                                    conv_f).grid_function()
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +439,8 @@ def _run_e5(ctx: RunContext, table: RatioTable) -> None:
             if not (-1.0 < amu < p - 1.0 and -1.0 < alam < p - 1.0):
                 continue
             pair = (p, amu, alam)
-            for bid, b in bs:
-                for fid, f in funcs:
+            for fid, f in funcs:
+                for bid, b in bs:
                     case = f"{bid}|{fid}|p={p}|mu={amu:+g}|lam={alam:+g}"
                     with table.case(case, {"p": p, "mu_pow": amu, "lam_pow": alam}) as add:
                         mu, lam = ctx.weight(amu), ctx.weight(alam)
@@ -430,8 +449,10 @@ def _run_e5(ctx: RunContext, table: RatioTable) -> None:
                         nu = ctx.once(("nu", *pair), bloom_weight, mu, lam, p)
                         ranges = ctx.once("ranges", cube_domain_ranges, ctx.lattices)
                         bnorm = ctx.once(("bmo", *pair, bid), bmo_nu_norm, b, nu, ranges)
-                        # the profile depends on (b, f) only, not on p or the weights
-                        prof = ctx.once(("commutator", bid, fid), ctx.commutator, f, b)
+                        # the profile depends on (b, f) only, not on p or the weights,
+                        # and phi_t * f on f only: the b's of one f share it
+                        prof = ctx.once(("commutator", bid, fid), lambda: ctx.commutator(
+                            f, b, ctx.latest(("conv", fid), ctx.convolve, f)))
                         rhs = ((ap_mu * ap_lam) ** _strong_exponent(p)
                                * bnorm * lp_norm(f, p, mu))
                         add(lp_norm(prof, p, lam), rhs)
@@ -480,9 +501,9 @@ def _run_e7(ctx: RunContext, table: RatioTable) -> None:
     norm_balls = [Ball(c, r) for c in (-4.0, -2.0, 0.0, 2.0, 4.0)
                   for r in (0.25, 0.5, 1.0, 2.0)]
     for a in [a for a in cfg.weight_params if -1.0 < a <= 0.0] or [0.0]:
-        for bid, b in bs:
-            for ball in balls:
-                params = {"power": a, "center": ball.center, "radius": ball.radius}
+        for ball in balls:
+            params = {"power": a, "center": ball.center, "radius": ball.radius}
+            for bid, b in bs:
                 for kind in ("sgn", "rand"):
                     case = f"{bid}|{kind}|c={ball.center:g}|r={ball.radius:g}|a={a:+g}"
                     with table.case(case, params) as add:
@@ -490,12 +511,20 @@ def _run_e7(ctx: RunContext, table: RatioTable) -> None:
                         rhs = ctx.once(("cal", a, bid), cal_bmo_omega_norm,
                                        b, w, norm_balls).norm
                         if kind == "sgn":
-                            atom = sgn_atom(b, ball, w)
+                            atom, conv = sgn_atom(b, ball, w), None
                             if atom.degenerate:
                                 continue
                         else:
-                            atom = make_atom(1.0, 2.0, 0, w, ball, seed=cfg.seed)
-                        add(lp_norm(ctx.commutator(atom.values, b), 1.0, w), rhs)
+                            # it depends on (a, ball) only: the b's share it
+                            atom, conv = ctx.latest(("rand", a, ball), _e7_rand_atom,
+                                                    ctx, a, ball)
+                        add(lp_norm(ctx.commutator(atom.values, b, conv), 1.0, w), rhs)
+
+
+def _e7_rand_atom(ctx: RunContext, a: float, ball: Ball) -> tuple:
+    """E7's random (1, 2, 0)-atom on ball for the weight |x|^a, and its family."""
+    atom = make_atom(1.0, 2.0, 0, ctx.weight(a), ball, seed=ctx.cfg.seed)
+    return atom, ctx.convolve(atom.values)
 
 
 def _run_e8(ctx: RunContext, table: RatioTable) -> None:

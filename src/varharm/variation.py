@@ -205,14 +205,22 @@ def variation_operator(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
 
 
 def commutator_family(f: GridFunction, b: GridFunction, kernel: KernelSpec,
-                      scales: ScaleFamily) -> np.ndarray:
-    """Columns c_t(x) = b(x)(phi_t * f)(x) - (phi_t * (b f))(x)."""
+                      scales: ScaleFamily, conv_f: np.ndarray | None = None) -> np.ndarray:
+    """Columns c_t(x) = b(x)(phi_t * f)(x) - (phi_t * (b f))(x).
+
+    conv_f: convolve_family(f, kernel, scales), when the caller already holds
+    it (several b's with one f); the result is the same to the bit.
+    """
     if not f.same_domain(b):
         raise ValueError("f and b must share a domain")
     # recentering b leaves the commutator unchanged but makes the
     # constant-b case cancel bit-exactly
     b0 = b.values - b.values[0]
-    conv_f = convolve_family(f, kernel, scales)
+    if conv_f is None:
+        conv_f = convolve_family(f, kernel, scales)
+    elif conv_f.shape != (f.domain.cells, len(scales)):
+        raise ValueError(f"conv_f has shape {conv_f.shape}, expected "
+                         f"{(f.domain.cells, len(scales))}")
     bf = GridFunction(f.domain, b0 * f.values)
     conv_bf = convolve_family(bf, kernel, scales)
     return b0[:, None] * conv_f - conv_bf
@@ -231,11 +239,13 @@ def commutator_family_direct(f: GridFunction, b: GridFunction, kernel: KernelSpe
 
 
 def commutator_variation(f: GridFunction, b: GridFunction, kernel: KernelSpec,
-                         scales: ScaleFamily, rho: float) -> VariationProfile:
-    """V_rho of the commutator family of b with the approximate identity."""
+                         scales: ScaleFamily, rho: float,
+                         conv_f: np.ndarray | None = None) -> VariationProfile:
+    """V_rho of the commutator family of b with the approximate identity;
+    conv_f as in commutator_family."""
     if rho <= 1:
         raise ValueError("variation exponent must exceed 1")
-    fam = commutator_family(f, b, kernel, scales)
+    fam = commutator_family(f, b, kernel, scales, conv_f)
     vals = _variation_dp_batch(fam, rho)
     return VariationProfile(f.domain, vals, rho, scales, kernel)
 

@@ -55,12 +55,23 @@ class WeightConstants:
     lattice_shifts: list
 
     def to_json(self) -> str:
+        """Strict JSON: a constant that is not finite (a weight too close to 0
+        overflows it) is written as null and named in "non_finite"."""
+        non_finite = []
+
+        def finite(name: str, v: float) -> float | None:
+            if math.isfinite(v):
+                return v
+            non_finite.append(name)
+            return None
+
         return json.dumps({
-            "ap": {str(p): v for p, v in sorted(self.ap.items())},
-            "a1": self.a1,
-            "ainf": self.ainf,
+            "ap": {str(p): finite(f"ap[{p}]", v) for p, v in sorted(self.ap.items())},
+            "a1": finite("a1", self.a1),
+            "ainf": finite("ainf", self.ainf),
+            "non_finite": non_finite,
             "lattice_shifts": self.lattice_shifts,
-        }, indent=2)
+        }, indent=2, allow_nan=False)
 
 
 def _ranges(w: Weight, lattices, exhaustive: bool) -> np.ndarray:

@@ -9,6 +9,7 @@ from varharm import (Domain1D, GridFunction, KernelSpec, ResolutionError,
                      ScaleFamily, convolve, convolve_family,
                      eval_kernel_dilated, hardy_norm, lp_norm, power_weight,
                      smooth_maximal, weak_l1_norm)
+from varharm import grid
 from varharm.grid import KERNEL_KINDS
 
 
@@ -138,6 +139,45 @@ def test_convolve_family_fft_matches_direct_every_kernel(cells):
             assert np.max(np.abs(a[:, col] - b[:, col])) < 1e-10 * scale
 
 
+def _block_rows(cells: int) -> int:
+    return grid._BLOCK_BYTES // (8 * grid._fft_length(cells))
+
+
+# scale counts 1, rows - 1, rows, rows + 1 and the default family's
+@pytest.mark.parametrize("cells,count", [
+    (cells, count) for cells in (96, 768, 3072)
+    for count in (1, _block_rows(cells) - 1, _block_rows(cells),
+                  _block_rows(cells) + 1, None)])
+def test_convolve_family_blocks_equal_one_transform(cells, count):
+    d = Domain1D(-8.0, 8.0, cells)
+    fam = (ScaleFamily.for_domain(d) if count is None
+           else ScaleFamily(tuple(np.geomspace(4.0, 3.0 * d.h, count))))
+    rng = np.random.default_rng(cells)
+    f = GridFunction(d, rng.standard_normal(cells))
+    size, n = grid._fft_length(cells), cells
+    for kind in ("gaussian-heat", "poisson"):
+        k = KernelSpec(kind)
+        spectra = np.fft.rfft(grid._kernel_samples(k, fam.scales, d), n=size, axis=-1)
+        full = np.fft.irfft(spectra * np.fft.rfft(f.values, n=size), n=size, axis=-1)
+        expect = (d.h * full[:, n - 1:2 * n - 1]).T
+        assert np.array_equal(convolve_family(f, k, fam), expect)
+
+
+def test_convolve_family_result_does_not_alias_the_workspace():
+    d = Domain1D(-8.0, 8.0, 768)
+    rng = np.random.default_rng(5)
+    f, g = (GridFunction(d, rng.standard_normal(d.cells)) for _ in range(2))
+    k, fam = KernelSpec("gaussian-heat"), ScaleFamily.for_domain(d)
+    first = convolve_family(f, k, fam)
+    kept = first.copy()
+    second = convolve_family(g, k, fam)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
+    for buf in grid._kernel_spectra(k, fam.scales, d)[1:]:
+        assert not np.shares_memory(first, buf)
+        assert not np.shares_memory(second, buf)
+
+
 @pytest.mark.parametrize("method", ["direct", "fft"])
 def test_convolve_family_resolution_error(method):
     d = Domain1D(-8.0, 8.0, 96)
@@ -253,3 +293,18 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(f.values, g.values)
     assert g.domain.cells == d.cells
     assert g.domain.left == pytest.approx(d.left, abs=1e-12)
+
+
+def test_read_csv_skips_blank_lines_and_names_bad_rows(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_bytes(b"x,value\r\n0.1,1\r\n\r\n0.3,2\r\n0.5,3\n\n  \n")
+    g = GridFunction.read_csv(path)
+    assert np.array_equal(g.values, [1.0, 2.0, 3.0])
+    assert g.domain.cells == 3
+    for body, message in [("0.1,1\n0.3\n", "line 3: expected 2 comma-separated values, got 1"),
+                          ("0.1,1,2\n0.3,1\n", "line 2: expected 2 comma-separated values, got 3"),
+                          ("0.1,1\n\n0.3,abc\n", "line 4: not a number in '0.3,abc'"),
+                          ("0.1,1\n0.3,1\nnan,1\n0.7,1\n", "not a uniform grid")]:
+        path.write_text("x,value\n" + body)
+        with pytest.raises(ValueError, match=message):
+            GridFunction.read_csv(path)

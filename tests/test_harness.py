@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import tempfile
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from varharm import (Domain1D, GridFunction, RatioTable, battery_generate,
                      harness, parse_config, power_weight, run_experiment)
+from varharm import cli
 from varharm.cli import main as cli_main
 from varharm.harness import ConfigError, ExperimentConfig
 
@@ -169,6 +172,32 @@ def test_cli_run_and_determinism(tmp_path):
     summary = json.loads((out1 / "E8.json").read_text())
     assert summary["experiment"] == "E8"
     assert summary["n_failures"] == 0
+
+
+def test_cli_out_naming_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    cfgfile = tmp_path / "e8.cfg"
+    cfgfile.write_text(FAST)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(taken)]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert runs == []
+    assert taken.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e8.cfg", "taken"]
+
+
+def test_run_summary_is_strict_json(tmp_path):
+    table = RatioTable("E8")
+    table.add("c", {}, 1e300, 1e-300)  # ratio overflows: not in max_ratio
+    table.add("d", {}, 2.0, 1.0)
+    table.refinement_factor = math.inf
+    table.write_json(tmp_path / "E8.json")
+    data = json.loads((tmp_path / "E8.json").read_text(), parse_constant=_reject_constant)
+    assert data["max_ratio"] == 2.0
+    assert data["refinement_factor"] is None
+    assert set(data) == {*table.summary(), "generated_at"}
 
 
 def test_cli_run_seed_override(tmp_path):
@@ -339,6 +368,67 @@ def test_cli_info(tmp_path, capsys):
         bad = tmp_path / f"{name}.csv"
         bad.write_text("x,value\n" + "".join(f"{x},1.0\n" for x in xs))
         assert cli_main(["info", "--weights", str(bad)]) == 3
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cli_info_writes_overflowed_constants_as_null(tmp_path, capsys):
+    d = Domain1D(-8.0, 8.0, 96)
+    path = tmp_path / "w.csv"
+    GridFunction(d, np.where(np.arange(d.cells) < 48, 1e-300, 1.0)).to_csv(path)
+    assert cli_main(["info", "--weights", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert data["ap"]["1.5"] is None
+    assert data["non_finite"] == ["ap[1.5]"]
+    assert all(v is not None for k, v in data["ap"].items() if k != "1.5")
+
+
+_BAD_ROWS = ["abc,1", "{x},abc", "{x},", "{x}", "{x},1,2", "{x},nan", "{x},inf",
+             "{x},0", "{x},-1", "{x},1e-300", "{x},1e308", "nan,1", "1e308,1",
+             "{skew},1"]
+
+
+@st.composite
+def _weight_csv_text(draw):
+    """Random weight file text: half the examples are a well-formed uniform
+    grid of 1 to 600 rows; the other half mix in bad headers, bad cells and
+    skewed x values. Either half adds blank lines and CRLF endings."""
+    n = draw(st.integers(1, 600))
+    h = draw(st.sampled_from([0.5, 1.0 / 3.0, 0.01, 7.0]))
+    left = draw(st.floats(-100.0, 100.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    xs = left + (np.arange(n) + 0.5) * h
+    lines = ["x,value"] + [f"{x:.17g},{v:.17g}"
+                           for x, v in zip(xs, 10.0 ** rng.uniform(-3, 3, n))]
+    if draw(st.booleans()):
+        lines[0] = draw(st.sampled_from(["x,value", "", "value,x", "x,value,w", "X,Value",
+                                         "0.5,1"]))
+        for i in draw(st.lists(st.integers(1, n), max_size=3)):
+            lines[i] = draw(st.sampled_from(_BAD_ROWS)).format(
+                x=f"{xs[i - 1]:.17g}", skew=f"{xs[i - 1] + 0.4 * h:.17g}")
+    for i in draw(st.lists(st.integers(1, len(lines)), max_size=4)):
+        lines.insert(i, draw(st.sampled_from(["", "  ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, 2 * newline]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weight_csv_text())
+def test_cli_info_fuzzed_weight_file_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.csv"
+        path.write_bytes(text.encode())
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["info", "--weights", str(path)])
+    assert code in (0, 3)
+    if code == 0:
+        data = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert set(data) == {"ap", "a1", "ainf", "non_finite", "lattice_shifts"}
+    else:
+        assert out.getvalue() == "" and err.getvalue()
 
 
 def test_failure_flag_with_commas_is_quoted(tmp_path):

@@ -294,6 +294,22 @@ def test_commutator_matches_direct_assembly():
         assert np.max(np.abs(cf[:, col] - direct)) < 1e-10 * scale
 
 
+def test_commutator_with_precomputed_family_is_bit_identical():
+    d = Domain1D(-8.0, 8.0, 3072)
+    k = KernelSpec("gaussian-heat")
+    fam = ScaleFamily.for_domain(d)
+    rng = np.random.default_rng(16)
+    f = GridFunction(d, rng.standard_normal(d.cells))
+    conv_f = convolve_family(f, k, fam)
+    for b in (GridFunction(d, np.sin(d.x())), GridFunction(d, d.x())):
+        assert np.array_equal(commutator_family(f, b, k, fam, conv_f=conv_f),
+                              commutator_family(f, b, k, fam))
+        assert np.array_equal(commutator_variation(f, b, k, fam, 3.0, conv_f=conv_f).values,
+                              commutator_variation(f, b, k, fam, 3.0).values)
+    with pytest.raises(ValueError, match="conv_f has shape"):
+        commutator_family(f, b, k, fam, conv_f=conv_f[:, 1:])
+
+
 def test_commutator_bilinearity():
     d = Domain1D(-8.0, 8.0, 96)
     k = KernelSpec("gaussian-heat")
