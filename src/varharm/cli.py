@@ -36,17 +36,25 @@ def _cmd_run(args) -> int:
         if args.refine is not None:
             cfg.refine = args.refine
         cfg.validate()
-        # before the run: an --out that names a file fails here, not after the work
+        # before the run: an --out that names a file, or holds a directory
+        # where an output goes, fails here, not after the work
         os.makedirs(cfg.out_dir, exist_ok=True)
+        csv_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.csv")
+        json_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.json")
+        for path in (csv_path, json_path):
+            if os.path.isdir(path):
+                raise ConfigError(f"output {path} is a directory")
         table = run_experiment(cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
-    csv_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.csv")
-    json_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.json")
-    table.write_csv(csv_path)
-    table.write_json(json_path)
+    try:
+        table.write_csv(csv_path)
+        table.write_json(json_path)
+    except OSError as exc:
+        print(f"cannot write results: {exc}", file=sys.stderr)
+        return 3
     summary = table.summary()
     print(f"{cfg.experiment}: {summary['n_cases']} cases, "
           f"{summary['n_failures']} failures, max ratio {summary['max_ratio']}")

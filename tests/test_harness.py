@@ -188,6 +188,36 @@ def test_cli_out_naming_a_file_fails_before_the_run(tmp_path, capsys, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["e8.cfg", "taken"]
 
 
+@pytest.mark.parametrize("taken", ["E8.csv", "E8.json"])
+def test_cli_output_naming_a_directory_fails_before_the_run(tmp_path, capsys,
+                                                            monkeypatch, taken):
+    cfgfile = tmp_path / "e8.cfg"
+    cfgfile.write_text("experiment = E8\ncells = 96\n")
+    (tmp_path / "out" / taken).mkdir(parents=True)
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 3
+    assert "is a directory" in capsys.readouterr().err
+    assert runs == []
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [taken]
+
+
+def test_cli_output_that_cannot_be_written_exits_3(tmp_path, capsys, monkeypatch):
+    cfgfile = tmp_path / "e8.cfg"
+    cfgfile.write_text("experiment = E8\ncells = 96\n")
+    out = tmp_path / "out"
+
+    def run_then_take_the_csv_path(cfg):
+        table = run_experiment(cfg)
+        (out / "E8.csv").mkdir()
+        return table
+
+    monkeypatch.setattr(cli, "run_experiment", run_then_take_the_csv_path)
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) == 3
+    assert "cannot write results:" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["E8.csv"]
+
+
 def test_run_summary_is_strict_json(tmp_path):
     table = RatioTable("E8")
     table.add("c", {}, 1e300, 1e-300)  # ratio overflows: not in max_ratio

@@ -13,8 +13,10 @@ from varharm import (Domain1D, GridFunction, KernelSpec, ScaleFamily,
                      seq_variation_bruteforce, seq_variation_dp,
                      variation_operator)
 from varharm.grid import KERNEL_KINDS
-from varharm.variation import (_turning_points, _variation_dp_batch,
-                               _variation_dp_full)
+from varharm.harness import battery_generate
+from varharm.variation import (_NOISE_FLOOR, _turning_points,
+                               _variation_dp_batch, _variation_dp_full,
+                               _zero_noise)
 
 
 def test_seq_variation_hand_examples():
@@ -370,15 +372,89 @@ def test_grand_maximal_matches_bruteforce():
     assert np.max(np.abs(got - expect)) < 1e-12
 
 
-def test_variation_profile_sidecar_and_csv(tmp_path):
-    d = Domain1D(-8.0, 8.0, 96)
-    fam = ScaleFamily.for_domain(d, count=6)
-    prof = variation_operator(GridFunction.indicator(d, -1.0, 1.0),
-                              KernelSpec("poisson"), fam, 2.5)
-    side = prof.sidecar()
-    assert side["rho"] == 2.5
-    assert side["kernel"] == "poisson"
-    assert side["scales"] == list(fam.scales)
-    prof.to_csv(tmp_path / "v.csv")
-    back = GridFunction.read_csv(tmp_path / "v.csv")
-    assert np.array_equal(back.values, prof.values)
+# the floor may only zero entries that the direct sum puts within twice it
+# of zero; fewer functions and columns at N = 3072 keep the direct sums quick
+@pytest.mark.parametrize("cells, count", [(96, 12), (768, 12), (3072, 3)])
+def test_noise_floor_zeroes_only_unresolved_convolutions(cells, count):
+    d = Domain1D(-8.0, 8.0, cells)
+    fam = ScaleFamily.for_domain(d)
+    zeroed, noise = 0, 0.0
+    for kind in KERNEL_KINDS:
+        for _, f in battery_generate("mixed", 20240901, d, count):
+            convs = convolve_family(f, KernelSpec(kind), fam)
+            floor = _NOISE_FLOOR * np.abs(convs).max()
+            gone = (_zero_noise(convs.copy()) == 0) & (convs != 0)
+            direct = convolve_family(f, KernelSpec(kind), fam, method="direct")
+            assert np.all(np.abs(direct[gone]) <= 2.0 * floor)
+            zeroed += gone.sum()
+            noise = max(noise, np.abs(convs - direct).max() / floor)
+    # the FFT's round-off stays under the floor, and within a factor 8 of it
+    assert zeroed > 0 and 0.125 <= noise <= 1.0
+
+
+@pytest.mark.parametrize("cells, count, step", [(96, 3, 1), (768, 3, 6), (3072, 1, 18)])
+def test_noise_floor_zeroes_only_unresolved_commutators(cells, count, step):
+    d = Domain1D(-8.0, 8.0, cells)
+    fam = ScaleFamily.for_domain(d)
+    x = d.x()
+    bs = [GridFunction(d, v) for v in (np.log(np.abs(x)), np.sign(x), np.sin(3.0 * x))]
+    # an indicator, a bump and an oscillatory function
+    funcs = [f for _, f in battery_generate("mixed", 20240901, d, 12)[::4][:count]]
+    zeroed = 0
+    for kind in ("gaussian-heat", "poisson", "compact-bump"):
+        k = KernelSpec(kind)
+        for f in funcs:
+            for b in bs:
+                cf = commutator_family(f, b, k, fam)
+                floor = _NOISE_FLOOR * np.abs(cf).max()
+                gone = (_zero_noise(cf.copy()) == 0) & (cf != 0)
+                # the finest scale, where the floor zeroes most, and every step-th
+                for col in range(len(fam) - 1, -1, -step):
+                    if gone[:, col].any():
+                        direct = commutator_family_direct(f, b, k, fam.scales[col])
+                        assert np.all(np.abs(direct[gone[:, col]]) <= 2.0 * floor)
+                        zeroed += gone[:, col].sum()
+    assert zeroed > 0
+
+
+def test_noise_floor_keeps_zero_families_and_constant_b_commutators():
+    assert not np.any(_zero_noise(np.zeros((96, 7))))
+    assert _zero_noise(np.zeros((0, 3))).shape == (0, 3)
+    d = Domain1D(-8.0, 8.0, 3072)
+    fam = ScaleFamily.for_domain(d)
+    f = GridFunction.indicator(d, -1.0, 1.0)
+    b = GridFunction(d, np.full(d.cells, 3.5))
+    for kind in ("gaussian-heat", "poisson", "compact-bump"):
+        k = KernelSpec(kind)
+        assert not np.any(_zero_noise(commutator_family(f, b, k, fam)))
+        assert not np.any(commutator_variation(f, b, k, fam, 3.0).values)
+
+
+def test_noise_floor_leaves_nonfinite_families_untouched():
+    rng = np.random.default_rng(68)
+    fam = rng.standard_normal((40, 9))
+    fam[::3] *= 1e-20  # far below the floor of a finite max
+    assert np.any(_zero_noise(fam.copy()) == 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        a = fam.copy()
+        a[5, 4] = a[17, 2] = bad
+        got = _zero_noise(a.copy())
+        assert np.array_equal(got.view(np.int64), a.view(np.int64))  # bit for bit
+        # the DP keeps every entry of the sequences that hold them
+        assert _turning_points(got.T)[[5, 17]].all()
+
+
+def test_noise_floor_is_applied_before_the_dp():
+    d = Domain1D(-8.0, 8.0, 768)
+    fam = ScaleFamily.for_domain(d)
+    f = GridFunction.indicator(d, -1.0, 1.0)
+    b = GridFunction(d, np.sin(3.0 * d.x()))
+    k = KernelSpec("compact-bump")
+    convs = convolve_family(f, k, fam)
+    assert np.array_equal(variation_operator(f, k, fam, 3.0).values,
+                          _variation_dp_batch(_zero_noise(convs.copy()), 3.0))
+    cf = commutator_family(f, b, k, fam)
+    assert np.array_equal(commutator_variation(f, b, k, fam, 3.0).values,
+                          _variation_dp_batch(_zero_noise(cf.copy()), 3.0))
+    # the floor removes turning points: the noise it zeroes is not resolved
+    assert _turning_points(_zero_noise(convs.copy()).T).sum() < _turning_points(convs.T).sum()
