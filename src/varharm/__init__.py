@@ -3,9 +3,7 @@ identities on weighted spaces: operators, norms, sparse domination, and a
 batch experiment harness."""
 
 from .atoms import (Atom, AtomConstructionError, AtomReport, Ball,
-                    FarFieldReport, SgnAtomResult, SupportError,
-                    far_field_maximal_bound_check, make_atom, sgn_atom,
-                    validate_atom)
+                    SgnAtomResult, make_atom, sgn_atom, validate_atom)
 from .grid import (Domain1D, GridFunction, KernelSpec, ResolutionError,
                    ScaleFamily, convolve, convolve_family, eval_kernel_dilated,
                    hardy_norm, lp_norm, smooth_maximal, weak_l1_norm)

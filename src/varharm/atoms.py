@@ -5,6 +5,11 @@ the weighted ball measure, and orthogonal to polynomials up to the moment
 degree. Moment orthogonality is enforced in the plain Lebesgue inner
 product on the ball, using monomials centered at the ball center for
 conditioning (the spanned polynomial space is the same).
+
+Both builders also return the unnormalized shape and the positive factor
+that normalizes it: the shape depends on the ball (and the seed or b) only,
+the factor on (p, q, w) as well, so a positively homogeneous operator needs
+to see each shape once.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, KernelSpec, ScaleFamily, _bump_raw, _recentred, smooth_maximal
+from .grid import GridFunction, _bump_raw, _recentred
 from .oscillation import Ball
 from .weights import Weight
 
@@ -33,6 +38,9 @@ class Atom:
     q: float  # may be math.inf
     s: int
     weight: Weight
+    # set by make_atom: values = factor * shape, shape as projected
+    shape: GridFunction | None = None
+    factor: float = 1.0
 
     def norm_target(self) -> float:
         """w(B)^{1/q - 1/p}; the normalization bound of the definition."""
@@ -87,7 +95,11 @@ def validate_atom(atom: Atom, tol: float = 1e-9) -> AtomReport:
 
 def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball, seed: int) -> Atom:
     """Seeded random atom: smooth bump minus its polynomial projection,
-    rescaled so the weighted norm meets the target exactly."""
+    rescaled so the weighted norm meets the target exactly.
+
+    The projected bump is kept as `shape` and the rescaling as `factor`;
+    the shape depends on (ball, s, seed) only, not on p, q or w.
+    """
     if not (q > 1 or math.isinf(q)):
         raise ValueError("atom exponent q must exceed 1")
     if s < 0:
@@ -117,9 +129,9 @@ def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball, seed: int) -> A
             continue
         vals = np.zeros(d.cells)
         vals[cs:ce] = a
-        atom = Atom(GridFunction(d, vals), ball, p, q, s, w)
-        norm = atom.weighted_norm()
-        atom.values.values *= atom.norm_target() / norm
+        atom = Atom(GridFunction(d, vals.copy()), ball, p, q, s, w, GridFunction(d, vals))
+        atom.factor = atom.norm_target() / atom.weighted_norm()
+        atom.values.values *= atom.factor
         return atom
     raise AtomConstructionError(
         f"projection annihilated the sample {_RESAMPLES} times")
@@ -129,6 +141,8 @@ def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball, seed: int) -> A
 class SgnAtomResult:
     values: GridFunction
     degenerate: bool  # b constant on B up to its mean: a vanishes identically
+    shape: GridFunction  # (h - <h>_B) chi_B with h = sgn(b - <b>_B)
+    factor: float  # 1 / (2 w(B)); values equals factor * shape to a few ulp
 
 
 def sgn_atom(b: GridFunction, ball: Ball, w: Weight) -> SgnAtomResult:
@@ -136,6 +150,7 @@ def sgn_atom(b: GridFunction, ball: Ball, w: Weight) -> SgnAtomResult:
 
     Guarantees supp a in B, |a| <= w(B)^{-1} and int_B a = 0; uses the
     sgn(0) = 0 convention, so a constant b yields the flagged zero atom.
+    The shape depends on (b, ball) only and the factor on (ball, w) only.
     """
     d = b.domain
     s, e = ball.cell_range(d)
@@ -143,54 +158,9 @@ def sgn_atom(b: GridFunction, ball: Ball, w: Weight) -> SgnAtomResult:
     # recentred mean: constant b gives exact zeros, hence sgn(0) = 0
     hvals = np.sign(_recentred(bb))
     wb = w.measure(s, e)
-    av = (hvals - hvals.mean()) / (2.0 * wb)
-    vals = np.zeros(d.cells)
-    vals[s:e] = av
-    return SgnAtomResult(GridFunction(d, vals), degenerate=not np.any(av))
-
-
-class SupportError(ValueError):
-    """Input function leaks outside the prescribed ball."""
-
-
-@dataclass
-class FarFieldReport:
-    max_ratio: float
-    lhs: np.ndarray  # |int_B f| / |x - x_B| at points outside B
-    maximal: np.ndarray  # M_phi-tilde f at the same points
-    kernel: KernelSpec  # flat-bump; mass deliberately not normalized
-
-
-def far_field_maximal_bound_check(f: GridFunction, ball: Ball,
-                                  k_tilde: KernelSpec | None = None,
-                                  scales: ScaleFamily | None = None) -> FarFieldReport:
-    """max over x outside B of (|int_B f| / |x - x_B|) / M_phi-tilde f(x).
-
-    The cutoff kernel equals 1 on [-1, 1]; the bound needs no unit mass, so
-    the kernel is flagged rather than renormalized. The scale family must
-    reach scales comparable to the distances probed (default: up to the
-    domain length).
-    """
-    d = f.domain
-    s, e = ball.cell_range(d)
-    outside_support = f.values.copy()
-    outside_support[s:e] = 0.0
-    if np.any(outside_support != 0.0):
-        raise SupportError("f must be supported in the ball")
-    if k_tilde is None:
-        k_tilde = KernelSpec("flat-bump")
-    if scales is None:
-        scales = ScaleFamily.for_domain(d, t_max=d.length, ratio=0.8)
-    integral = abs(float(f.values[s:e].sum() * d.h))
-    x = d.x()
-    mask = np.ones(d.cells, dtype=bool)
-    mask[s:e] = False
-    lhs = integral / np.abs(x[mask] - ball.center)
-    m = smooth_maximal(f, k_tilde, scales).values[mask]
-    if integral == 0.0:
-        return FarFieldReport(0.0, lhs, m, k_tilde)
-    pos = m > 0
-    ratio = float((lhs[pos] / m[pos]).max(initial=0.0))
-    if np.any(~pos & (lhs > 0)):
-        ratio = math.inf
-    return FarFieldReport(ratio, lhs, m, k_tilde)
+    hvals -= hvals.mean()
+    av = hvals / (2.0 * wb)
+    shape, vals = np.zeros(d.cells), np.zeros(d.cells)
+    shape[s:e], vals[s:e] = hvals, av
+    return SgnAtomResult(GridFunction(d, vals), not np.any(av),
+                         GridFunction(d, shape), 1.0 / (2.0 * wb))

@@ -15,7 +15,7 @@ import datetime
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -328,7 +328,9 @@ class RunContext:
         self._latest = None
 
     def once(self, key, fn, *args):
-        """fn(*args) on the first call for key, the stored value after."""
+        """fn(*args) on the first call for key, the stored value after. A call
+        that raises stores nothing, so each case that needs the value retries
+        it and records its own failure row."""
         if key not in self._memo:
             self._memo[key] = fn(*args)
         return self._memo[key]
@@ -374,6 +376,18 @@ def _strong_exponent(p: float) -> float:
     return max(1.0, 1.0 / (p - 1.0))
 
 
+def _scaled(factor: float, prof: GridFunction) -> GridFunction:
+    """factor * prof: for factor > 0, the profile of factor * f when prof is f's.
+
+    Both profile operators are positively homogeneous. The family scales,
+    phi_t * (c f) = c (phi_t * f) and C_b(c f) = c C_b f; _zero_noise's floor
+    is relative to max|family|, so it commutes with the scaling; and the DP
+    gives V_rho(c a) = c V_rho(a). Only the rounding differs from the profile
+    of factor * f itself, in the last bits.
+    """
+    return GridFunction(prof.domain, factor * prof.values)
+
+
 def _run_e1(ctx: RunContext, table: RatioTable) -> None:
     for p in ctx.cfg.p_list:
         for a in [a for a in ctx.cfg.weight_params if -1.0 < a < p - 1.0]:
@@ -413,7 +427,9 @@ def _run_e3(ctx: RunContext, table: RatioTable) -> None:
                 case = f"atom|r=2^{math.log2(r):+.0f}|p={p}|{wid}"
                 with table.case(case, {"radius": r, "p": p}) as add:
                     atom = make_atom(p, 2.0, 0, w, ball, seed=cfg.seed + i)
-                    add(lp_norm(ctx.variation(atom.values), p, w), 1.0)
+                    # the shape depends on the radius only: the p's and weights share it
+                    prof = ctx.once(("atom", i), ctx.variation, atom.shape)
+                    add(lp_norm(_scaled(atom.factor, prof), p, w), 1.0)
 
 
 def _run_e4(ctx: RunContext, table: RatioTable) -> None:
@@ -510,21 +526,27 @@ def _run_e7(ctx: RunContext, table: RatioTable) -> None:
                         w = ctx.weight(a)
                         rhs = ctx.once(("cal", a, bid), cal_bmo_omega_norm,
                                        b, w, norm_balls).norm
+                        # the shapes depend on (kind, ball, b) only: the weights share
+                        # their profiles
+                        key = ("commutator", kind, ball, bid)
                         if kind == "sgn":
-                            atom, conv = sgn_atom(b, ball, w), None
+                            atom = sgn_atom(b, ball, w)
                             if atom.degenerate:
                                 continue
+                            prof = ctx.once(key, ctx.commutator, atom.shape, b)
                         else:
                             # it depends on (a, ball) only: the b's share it
-                            atom, conv = ctx.latest(("rand", a, ball), _e7_rand_atom,
-                                                    ctx, a, ball)
-                        add(lp_norm(ctx.commutator(atom.values, b, conv), 1.0, w), rhs)
+                            atom, family = ctx.latest(("rand", a, ball), _e7_rand_atom,
+                                                      ctx, a, ball)
+                            prof = ctx.once(key, lambda: ctx.commutator(atom.shape, b, family()))
+                        add(lp_norm(_scaled(atom.factor, prof), 1.0, w), rhs)
 
 
 def _e7_rand_atom(ctx: RunContext, a: float, ball: Ball) -> tuple:
-    """E7's random (1, 2, 0)-atom on ball for the weight |x|^a, and its family."""
+    """E7's random (1, 2, 0)-atom on ball for the weight |x|^a, and the family
+    phi_t * shape, built on the first call only."""
     atom = make_atom(1.0, 2.0, 0, ctx.weight(a), ball, seed=ctx.cfg.seed)
-    return atom, ctx.convolve(atom.values)
+    return atom, cache(lambda: ctx.convolve(atom.shape))
 
 
 def _run_e8(ctx: RunContext, table: RatioTable) -> None:

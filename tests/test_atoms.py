@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from varharm import (Atom, Ball, Domain1D, GridFunction,
-                     ScaleFamily, SupportError, Weight,
-                     far_field_maximal_bound_check, make_atom, power_weight,
-                     sgn_atom, validate_atom)
+from varharm import (Atom, Ball, Domain1D, GridFunction, Weight, make_atom,
+                     power_weight, sgn_atom, validate_atom)
 
 
 def test_manual_sign_atom_validates():
@@ -105,31 +103,3 @@ def test_sgn_atom_constant_b_degenerate():
     res = sgn_atom(b, Ball(0.0, 1.0), w)
     assert res.degenerate
     assert not np.any(res.values.values)
-
-
-def test_far_field_bound_check():
-    d = Domain1D(-8.0, 8.0, 768)
-    ball = Ball(0.0, 1.0)
-    f = GridFunction.indicator(d, -1.0, 1.0)
-    rep = far_field_maximal_bound_check(f, ball)
-    assert rep.kernel.kind == "flat-bump"
-    assert 0.0 < rep.max_ratio < 10.0
-    assert not math.isinf(rep.max_ratio)
-    # mean-zero input: the far-field side vanishes identically
-    s, e = ball.cell_range(d)
-    vals = np.zeros(d.cells)
-    vals[s:e] = np.sign(d.x()[s:e])
-    rep0 = far_field_maximal_bound_check(GridFunction(d, vals), ball)
-    assert rep0.max_ratio == 0.0
-    with pytest.raises(SupportError):
-        far_field_maximal_bound_check(GridFunction(d, np.ones(d.cells)), ball)
-
-
-def test_far_field_custom_scales():
-    d = Domain1D(-8.0, 8.0, 768)
-    ball = Ball(0.0, 1.0)
-    f = GridFunction.indicator(d, -1.0, 1.0)
-    # scales too short to see far points: the ratio blows up, by design
-    short = ScaleFamily.geometric(0.5, 0.8, 8, t_min=2 * d.h)
-    rep = far_field_maximal_bound_check(f, ball, scales=short)
-    assert rep.max_ratio > 1.0

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varharm import (Domain1D, GridFunction, RatioTable, battery_generate,
-                     harness, parse_config, power_weight, run_experiment)
+from varharm import (Ball, Domain1D, GridFunction, RatioTable, SgnAtomResult, Weight,
+                     battery_generate, cal_bmo_omega_norm, harness, lp_norm, make_atom,
+                     parse_config, power_weight, run_experiment, sgn_atom)
 from varharm import cli
 from varharm.cli import main as cli_main
 from varharm.harness import ConfigError, ExperimentConfig
@@ -471,3 +472,70 @@ def test_failure_flag_with_commas_is_quoted(tmp_path):
     assert rows and all(len(r) == len(header) for r in rows)
     assert {r[-1] for r in rows} == {
         "failure:companion cube cells [1, 17) leave the domain"}
+
+
+def _checked_atom(atom, w, ball):
+    """The atom, after checking that factor * shape gives its values to a few
+    ulp, and that its values are the floats its builder always gave."""
+    v, scaled = atom.values.values, atom.factor * atom.shape.values
+    assert np.all(np.abs(scaled - v) <= 4 * np.spacing(np.abs(v)))
+    if isinstance(atom, SgnAtomResult):
+        scaled = atom.shape.values / (2.0 * w.measure(*ball.cell_range(w.domain)))
+    assert np.array_equal(v, scaled)
+    return atom
+
+
+def _e3_per_case(ctx, table):
+    """E3 with one variation profile per case, from the atom's values."""
+    d = ctx.domain
+    rng = np.random.default_rng(ctx.cfg.seed)
+    weights = [("lebesgue", Weight.constant(d)), ("pow+0.3", power_weight(0.3, d))]
+    for i, r in enumerate(2.0 ** e for e in range(-4, 3)):
+        ball = Ball(float((-1.0 + 2.0 * rng.random()) * min(1.0, 8.0 - r)), r)
+        for p in [p for p in ctx.cfg.p_list if 0.5 < p <= 1.0] or [0.7, 1.0]:
+            for wid, w in weights:
+                case = f"atom|r=2^{math.log2(r):+.0f}|p={p}|{wid}"
+                with table.case(case, {"radius": r, "p": p}) as add:
+                    atom = _checked_atom(make_atom(p, 2.0, 0, w, ball, seed=ctx.cfg.seed + i),
+                                          w, ball)
+                    add(lp_norm(ctx.variation(atom.values), p, w), 1.0)
+
+
+def _e7_per_case(ctx, table):
+    """E7 with one commutator profile per case, from the atom's values."""
+    d = ctx.domain
+    bs = harness._oscillatory_battery(d, 4, np.random.default_rng(ctx.cfg.seed))
+    norm_balls = [Ball(c, r) for c in (-4.0, -2.0, 0.0, 2.0, 4.0) for r in (0.25, 0.5, 1.0, 2.0)]
+    for a in [a for a in ctx.cfg.weight_params if -1.0 < a <= 0.0] or [0.0]:
+        w = ctx.weight(a)
+        for ball in [Ball(0.0, 1.0), Ball(-2.0, 0.5), Ball(1.0, 2.0)]:
+            params = {"power": a, "center": ball.center, "radius": ball.radius}
+            for bid, b in bs:
+                for kind in ("sgn", "rand"):
+                    case = f"{bid}|{kind}|c={ball.center:g}|r={ball.radius:g}|a={a:+g}"
+                    with table.case(case, params) as add:
+                        rhs = cal_bmo_omega_norm(b, w, norm_balls).norm
+                        if kind == "sgn":
+                            atom = sgn_atom(b, ball, w)
+                            if atom.degenerate:
+                                continue
+                        else:
+                            atom = make_atom(1.0, 2.0, 0, w, ball, seed=ctx.cfg.seed)
+                        _checked_atom(atom, w, ball)
+                        add(lp_norm(ctx.commutator(atom.values, b), 1.0, w), rhs)
+
+
+@pytest.mark.parametrize("cells", [96, 768])
+@pytest.mark.parametrize("experiment", ["E3", "E7"])
+def test_shared_atom_profiles_match_per_case_profiles(experiment, cells):
+    cfg = parse_config(f"experiment = {experiment}\ncells = {cells}\n")
+    expected = RatioTable(experiment)
+    per_case = {"E3": _e3_per_case, "E7": _e7_per_case}[experiment]
+    per_case(harness.RunContext(cfg), expected)
+    got = run_experiment(cfg).rows
+    assert len(got) == len(expected.rows) > 0
+    assert any(not r.flag for r in got)
+    for row, want in zip(got, expected.rows):
+        assert (row.case_id, row.params, row.flag) == (want.case_id, want.params, want.flag)
+        for x, y in ((row.lhs, want.lhs), (row.rhs, want.rhs), (row.ratio, want.ratio)):
+            assert x == y or abs(x - y) <= 1e-12 * abs(y) or (math.isnan(x) and math.isnan(y))

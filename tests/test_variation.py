@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varharm import (Domain1D, GridFunction, KernelSpec, ScaleFamily,
+from varharm import (Ball, Domain1D, GridFunction, KernelSpec, ScaleFamily,
                      commutator_family, commutator_family_direct,
                      commutator_variation, convolve_family, default_lattices,
                      grand_maximal_variation, kernel_difference_variation,
-                     seq_variation_bruteforce, seq_variation_dp,
-                     variation_operator)
+                     make_atom, power_weight, seq_variation_bruteforce,
+                     seq_variation_dp, sgn_atom, variation_operator)
 from varharm.grid import KERNEL_KINDS
 from varharm.harness import battery_generate
 from varharm.variation import (_NOISE_FLOOR, _turning_points,
@@ -458,3 +458,28 @@ def test_noise_floor_is_applied_before_the_dp():
                           _variation_dp_batch(_zero_noise(cf.copy()), 3.0))
     # the floor removes turning points: the noise it zeroes is not resolved
     assert _turning_points(_zero_noise(convs.copy()).T).sum() < _turning_points(convs.T).sum()
+
+
+@pytest.mark.parametrize("cells", [96, 768])
+def test_profiles_are_positively_homogeneous_on_atom_shapes(cells):
+    # the harness scales one profile per atom shape by each atom's factor
+    d = Domain1D(-8.0, 8.0, cells)
+    fam = ScaleFamily.for_domain(d)
+    w = power_weight(0.3, d)
+    ball = Ball(0.5, 1.0)
+    b = GridFunction(d, np.sin(3.0 * d.x()))
+    shapes = (make_atom(1.0, 2.0, 0, w, ball, seed=5).shape, sgn_atom(b, ball, w).shape)
+    for kind in ("gaussian-heat", "poisson", "compact-bump"):
+        k = KernelSpec(kind)
+        for f in shapes:
+            if kind != "poisson":  # the Poisson tails stay above the floor
+                for fam_f in (convolve_family(f, k, fam), commutator_family(f, b, k, fam)):
+                    assert np.any((_zero_noise(fam_f.copy()) == 0) & (fam_f != 0))
+            v = variation_operator(f, k, fam, 3.0).values
+            cv = commutator_variation(f, b, k, fam, 3.0).values
+            for c in (1e-3, 0.125, 7.5):
+                cf = GridFunction(d, c * f.values)
+                got = variation_operator(cf, k, fam, 3.0).values
+                assert np.abs(got - c * v).max() <= 1e-12 * c * v.max()
+                got = commutator_variation(cf, b, k, fam, 3.0).values
+                assert np.abs(got - c * cv).max() <= 1e-12 * c * cv.max()
