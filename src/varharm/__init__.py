@@ -11,12 +11,12 @@ from .harness import (ExperimentConfig, RatioTable, battery_generate,
                       parse_config, run_experiment)
 from .lattice import (AlignmentError, Cube, DyadicLattice, cube_domain_ranges,
                       default_lattices, hl_maximal, lattices_for_domain,
-                      m_half, max_aligned_depth)
+                      max_aligned_depth)
 from .oscillation import (EquivalenceReport, TailNormReport,
-                          WitnessPlacementError, WitnessResult, bmo_norm,
+                          WitnessPlacementError, WitnessResult,
                           bmo_nu_equivalence, bmo_nu_norm, cal_bmo_omega_norm,
-                          is_median, local_mean_oscillation, median,
-                          oscillation_witness)
+                          cube_oscillations, is_median, local_mean_oscillation,
+                          median, oscillation_witness)
 from .sparse import (DominationReport, SparseConstructionError, SparseFamily,
                      SparseReport,
                      build_sparse_family, domination_check, sparse_commutator,
@@ -28,7 +28,6 @@ from .variation import (VariationProfile, commutator_family,
                         variation_operator)
 from .weights import (Weight, WeightConstants, a1_constant, ainf_constant,
                       ap_constant, bloom_weight, compute_constants,
-                      critical_index_estimate, power_weight,
-                      truncated_tail_integral)
+                      power_weight)
 
 __version__ = "0.1.0"

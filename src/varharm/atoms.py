@@ -15,7 +15,7 @@ to see each shape once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,6 +58,16 @@ class Atom:
             return float(a.max(initial=0.0))
         wv = self.weight.values[s:e]
         return float(((a ** self.q * wv).sum() * d.h) ** (1.0 / self.q))
+
+    def normalized(self, p: float, w: Weight) -> "Atom":
+        """The atom of this shape for exponent p and weight w: values =
+        factor * shape with factor = norm_target() / weighted_norm() of the
+        unscaled shape, so that the weighted norm meets the target."""
+        atom = replace(self, values=GridFunction(self.shape.domain, self.shape.values.copy()),
+                       p=p, weight=w)
+        atom.factor = atom.norm_target() / atom.weighted_norm()
+        atom.values.values *= atom.factor
+        return atom
 
     def moment_residuals(self) -> np.ndarray:
         """|int a (x - x_B)^j dx| for j = 0..s."""
@@ -129,10 +139,8 @@ def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball, seed: int) -> A
             continue
         vals = np.zeros(d.cells)
         vals[cs:ce] = a
-        atom = Atom(GridFunction(d, vals.copy()), ball, p, q, s, w, GridFunction(d, vals))
-        atom.factor = atom.norm_target() / atom.weighted_norm()
-        atom.values.values *= atom.factor
-        return atom
+        shape = GridFunction(d, vals)
+        return Atom(shape, ball, p, q, s, w, shape).normalized(p, w)
     raise AtomConstructionError(
         f"projection annihilated the sample {_RESAMPLES} times")
 

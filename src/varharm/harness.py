@@ -23,7 +23,8 @@ from .atoms import make_atom, sgn_atom
 from .grid import (Domain1D, GridFunction, KernelSpec, ScaleFamily, convolve_family, lp_norm,
                    weak_l1_norm)
 from .lattice import cube_domain_ranges, default_lattices
-from .oscillation import Ball, bmo_nu_norm, cal_bmo_omega_norm, oscillation_witness
+from .oscillation import (Ball, bmo_nu_norm, cal_bmo_omega_norm, cube_oscillations,
+                          oscillation_witness)
 from .sparse import domination_check
 from .variation import commutator_variation, kernel_difference_variation, variation_operator
 from .weights import Weight, a1_constant, ainf_constant, ap_constant, bloom_weight, power_weight
@@ -426,9 +427,11 @@ def _run_e3(ctx: RunContext, table: RatioTable) -> None:
             for wid, w in weights:
                 case = f"atom|r=2^{math.log2(r):+.0f}|p={p}|{wid}"
                 with table.case(case, {"radius": r, "p": p}) as add:
-                    atom = make_atom(p, 2.0, 0, w, ball, seed=cfg.seed + i)
-                    # the shape depends on the radius only: the p's and weights share it
-                    prof = ctx.once(("atom", i), ctx.variation, atom.shape)
+                    # the shape depends on the radius only: the p's and weights share
+                    # it, and each case normalizes it for its own (p, w)
+                    atom = ctx.latest(("atom", i), make_atom, p, 2.0, 0, w, ball,
+                                      cfg.seed + i).normalized(p, w)
+                    prof = ctx.once(("profile", i), ctx.variation, atom.shape)
                     add(lp_norm(_scaled(atom.factor, prof), p, w), 1.0)
 
 
@@ -464,7 +467,8 @@ def _run_e5(ctx: RunContext, table: RatioTable) -> None:
                         ap_lam = ctx.once(("ap lam", *pair), ap_constant, lam, p, ctx.lattices)
                         nu = ctx.once(("nu", *pair), bloom_weight, mu, lam, p)
                         ranges = ctx.once("ranges", cube_domain_ranges, ctx.lattices)
-                        bnorm = ctx.once(("bmo", *pair, bid), bmo_nu_norm, b, nu, ranges)
+                        osc = ctx.once(("osc", bid), cube_oscillations, b, ranges)
+                        bnorm = ctx.once(("bmo", *pair, bid), bmo_nu_norm, b, nu, ranges, osc)
                         # the profile depends on (b, f) only, not on p or the weights,
                         # and phi_t * f on f only: the b's of one f share it
                         prof = ctx.once(("commutator", bid, fid), lambda: ctx.commutator(

@@ -9,6 +9,7 @@ for small grids.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,16 +173,24 @@ def _runs(starts: np.ndarray) -> np.ndarray:
     return np.stack([b[:-1], b[1:]], axis=1)
 
 
-def cube_domain_ranges(lattices) -> list[tuple[int, int]]:
+def cube_domain_ranges(lattices) -> np.ndarray:
     """Deduplicated clipped cell ranges of all lattice cubes meeting the domain,
-    sorted by (width, start)."""
+    as a read-only (K, 2) intp array sorted by (width, start). It is built
+    once per tuple of lattices and shared by every caller."""
+    return _cube_domain_ranges(tuple(lattices))
+
+
+@functools.lru_cache(maxsize=4)
+def _cube_domain_ranges(lattices: tuple) -> np.ndarray:
     n = lattices[0].domain.cells
     s, e = np.concatenate([_runs(starts) for starts, _ in _level_starts(lattices)]).T
     key = _sorted_unique((e - s) * (n + 1) + s)
     s = key % (n + 1)
     e = s + key // (n + 1)
     assert np.all((0 <= s) & (s < e) & (e <= n))
-    return list(zip(s.tolist(), e.tolist()))
+    ranges = np.stack([s, e], axis=1).astype(np.intp, copy=False)
+    ranges.flags.writeable = False
+    return ranges
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -224,8 +233,8 @@ def _lattice_maximal(a: np.ndarray, parts, cut: np.ndarray | None = None) -> np.
     A start mask cut splits the cubes P further, into Q cap P."""
     out = np.zeros(len(a))
     for starts, width in parts:
-        key = np.cumsum(starts if cut is None else starts | cut) - 1
-        np.maximum(out, np.bincount(key, weights=a)[key] / width, out=out)
+        key = np.cumsum(starts if cut is None else starts | cut)  # bin 0 stays empty
+        np.maximum(out, (np.bincount(key, weights=a) / width)[key], out=out)
     return out
 
 
@@ -245,10 +254,3 @@ def _hl_maximal_exhaustive(f: GridFunction) -> GridFunction:
     for a in range(n):
         running[a:] = np.maximum(running[a:], suffix[a, a:])
     return GridFunction(f.domain, running)
-
-
-def m_half(f: GridFunction, lattices=None, exhaustive: bool = False) -> GridFunction:
-    """M_{1/2} f = (M(|f|^{1/2}))^2."""
-    root = GridFunction(f.domain, np.sqrt(np.abs(f.values)))
-    m = hl_maximal(root, lattices=lattices, exhaustive=exhaustive)
-    return GridFunction(f.domain, m.values ** 2)

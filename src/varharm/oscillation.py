@@ -39,23 +39,28 @@ class Ball:
         return s, e
 
 
-def bmo_norm(b: GridFunction, ranges) -> float:
-    """sup over the cube set of the mean oscillation <|b - <b>_Q|>_Q."""
-    best = 0.0
-    for _, _, cells in _width_groups(ranges):
-        osc = np.abs(_recentred(b.values[cells])).mean(axis=1)
-        best = max(best, float(osc.max()))
-    return best
+def cube_oscillations(b: GridFunction, ranges) -> np.ndarray:
+    """int_Q |b - <b>_Q| for each range Q, in the order of ranges."""
+    h = b.domain.h
+    r = np.asarray(ranges, dtype=np.intp).reshape(-1, 2)
+    osc = np.empty(len(r))
+    for _, rows, cells in _width_groups(r):
+        osc[rows] = np.abs(_recentred(b.values[cells])).sum(axis=1) * h
+    return osc
 
 
-def bmo_nu_norm(b: GridFunction, nu: Weight, ranges) -> float:
-    """sup over the cube set of (1/nu(Q)) int_Q |b - <b>_Q|."""
+def bmo_nu_norm(b: GridFunction, nu: Weight, ranges, osc=None) -> float:
+    """sup over the cube set of (1/nu(Q)) int_Q |b - <b>_Q|.
+
+    osc, when given, is cube_oscillations(b, ranges), for a caller that
+    weighs one b against several nu."""
+    if osc is None:
+        osc = cube_oscillations(b, ranges)
     h = b.domain.h
     best = 0.0
-    for _, _, cells in _width_groups(ranges):
-        osc = np.abs(_recentred(b.values[cells])).sum(axis=1) * h
+    for _, rows, cells in _width_groups(ranges):
         measure = nu.values[cells].sum(axis=1) * h
-        best = max(best, float((osc / measure).max()))
+        best = max(best, float((osc[rows] / measure).max()))
     return best
 
 
@@ -153,7 +158,8 @@ def bmo_nu_equivalence(b: GridFunction, nu: Weight, ranges,
     Ranges too small to resolve tau |Q| are dropped from both sides to keep
     the comparison on a common footing.
     """
-    usable = [(s, e) for s, e in ranges if tau * (e - s) >= 1.0]
+    r = np.asarray(ranges, dtype=np.intp).reshape(-1, 2)
+    usable = r[tau * (r[:, 1] - r[:, 0]) >= 1.0]
     lhs = bmo_nu_norm(b, nu, usable)
     h = b.domain.h
     rhs = 0.0

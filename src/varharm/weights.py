@@ -82,7 +82,7 @@ def _ranges(w: Weight, lattices, exhaustive: bool) -> np.ndarray:
         return np.stack(np.triu_indices(w.domain.cells + 1, 1), axis=1)
     if lattices is None:
         lattices = default_lattices(w.domain)
-    return np.array(cube_domain_ranges(lattices))
+    return cube_domain_ranges(lattices)
 
 
 def ap_constant(w: Weight, p: float, lattices=None, exhaustive: bool = False) -> float:
@@ -120,19 +120,33 @@ def ainf_constant(w: Weight, lattices=None) -> float:
     of every lattice level.
 
     M is the lattice maximal function of hl_maximal, evaluated on the cells
-    of Q only, for all cubes of one (lattice, level) at once: cutting the
-    sweep at the cube starts of that level sums w over each Q cap P. The
-    ratio sums are width-grouped row sums, which add as slice sums do.
+    of Q only, for all cubes Q of one (lattice, level) at once: cutting the
+    sweep at the cube starts of that level sums w over each Q cap P. Only
+    the cubes P that can win need a cut sweep. Each finer level of Q's own
+    lattice starts a cube wherever Q's level does, so its cut sweep is its
+    uncut one, and one running max over the own lattice's levels, finest
+    first, serves each of its levels in turn. A cube P at least as wide as
+    Q gives w(P cap Q)/|P| <= w(Q)/|Q|, which the level of Q itself gives,
+    also in floats: bincount adds each bin in cell order, every term is
+    >= 0, so a sub-run of Q's cells never sums above all of them under
+    monotone rounding. That leaves the narrower cubes of the other
+    lattices. The ratio sums are width-grouped row sums, which add as slice
+    sums do.
     """
     if lattices is None:
         lattices = default_lattices(w.domain)
     vals = w.values
-    parts = _level_starts(lattices)
+    parts = [_level_starts([lat]) for lat in lattices]
     best = 0.0
-    for cut, _ in parts:
-        m = _lattice_maximal(vals, parts, cut)
-        for _, _, cells in _width_groups(_runs(cut)):
-            best = max(best, (m[cells].sum(axis=1) / vals[cells].sum(axis=1)).max())
+    for k, own in enumerate(parts):
+        others = [part for j, ps in enumerate(parts) if j != k for part in ps]
+        m_own = np.zeros(len(vals))
+        for cut, width in reversed(own):  # levels finest first
+            np.maximum(m_own, _lattice_maximal(vals, [(cut, width)]), out=m_own)
+            narrower = [(starts, wd) for starts, wd in others if wd < width]
+            m = np.maximum(m_own, _lattice_maximal(vals, narrower, cut))
+            for _, _, cells in _width_groups(_runs(cut)):
+                best = max(best, (m[cells].sum(axis=1) / vals[cells].sum(axis=1)).max())
     return float(best)
 
 
@@ -165,37 +179,3 @@ def power_weight(a: float, domain: Domain1D, floor: float | None = None) -> Weig
         raise ValueError("floor must be positive")
     vals = np.maximum(np.abs(domain.x()), floor) ** a
     return Weight(GridFunction(domain, vals), tag=f"power:{a}")
-
-
-def critical_index_estimate(w: Weight, lattices=None, blow_up: float = 1e6,
-                            p_hi: float = 64.0, iters: int = 40) -> float:
-    """Bisection estimate of inf{p : [w]_{A_p} stays below a blow-up threshold}.
-
-    The critical index is not exactly computable from grid data; this only
-    brackets where the discrete constant explodes.
-    """
-    if lattices is None:
-        lattices = default_lattices(w.domain)
-
-    def bounded(p):
-        return ap_constant(w, p, lattices) <= blow_up
-
-    if bounded(1.0 + 1e-9):
-        return 1.0
-    lo, hi = 1.0, p_hi
-    if not bounded(hi):
-        return math.inf
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if bounded(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def truncated_tail_integral(w: Weight) -> float:
-    """int_domain w(x) / (1 + |x|) dx; grows with the domain if the global
-    integrability condition fails."""
-    x = w.domain.x()
-    return float((w.values / (1.0 + np.abs(x))).sum() * w.domain.h)

@@ -6,7 +6,7 @@ import pytest
 
 from varharm import (AlignmentError, Domain1D, GridFunction,
                      cube_domain_ranges, default_lattices, hl_maximal,
-                     lattices_for_domain, m_half, max_aligned_depth)
+                     lattices_for_domain, max_aligned_depth)
 from varharm.lattice import _sorted_unique
 
 
@@ -141,21 +141,13 @@ def test_exhaustive_oracle_rejects_large_grids():
         hl_maximal(GridFunction.zero(d), exhaustive=True)
 
 
-def test_m_half_indicator():
-    # sqrt(chi) = chi, so M_{1/2} chi = (M chi)^2
-    d = Domain1D(-8.0, 8.0, 384)
-    f = GridFunction.indicator(d, 0.0, 1.0)
-    m = m_half(f)
-    assert m.values[d.cell_of(2.0)] == pytest.approx(1.0 / 9.0, abs=1e-12)
-    base = hl_maximal(f)
-    assert np.allclose(m.values, base.values ** 2)
-
-
 def test_cube_domain_ranges_dedup_and_bounds():
     d = Domain1D(-8.0, 8.0, 96)
     lats = default_lattices(d)
     ranges = cube_domain_ranges(lats)
-    assert len(ranges) == len(set(ranges))
+    assert ranges.dtype == np.intp and ranges.shape[1] == 2
+    ranges = ranges.tolist()
+    assert len(ranges) == len(set(map(tuple, ranges)))
     assert all(0 <= s < e <= d.cells for s, e in ranges)
 
 
@@ -166,8 +158,8 @@ def test_cube_domain_ranges_equal_cube_enumeration(cells):
     seen = {cube.domain_cell_range() for lat in lats for cube in lat.cubes()}
     expect = sorted(seen, key=lambda r: (r[1] - r[0], r[0]))
     got = cube_domain_ranges(lats)
-    assert got == expect
-    assert all(type(s) is int and type(e) is int for s, e in got)
+    assert got.dtype == np.intp
+    assert got.tolist() == [list(r) for r in expect]
 
 
 @pytest.mark.parametrize("cells", [96, 3072])
@@ -181,18 +173,33 @@ def test_cube_domain_ranges_equal_np_unique_dedupe(cells):
     key = np.unique(np.array(keys))
     start = key % (n + 1)
     expect = list(zip(start.tolist(), (start + key // (n + 1)).tolist()))
-    assert cube_domain_ranges(lats) == expect
+    got = cube_domain_ranges(lats)
+    assert got.dtype == np.intp
+    assert got.tolist() == [list(r) for r in expect]
     rng = np.random.default_rng(3)
     for a in (np.array([], dtype=np.intp), np.array([7]), rng.integers(0, 40, 500),
               rng.integers(-10**12, 10**12, 300)):
         assert np.array_equal(_sorted_unique(a), np.unique(a))
 
 
+def test_cube_domain_ranges_is_one_cached_read_only_array():
+    d = Domain1D(-8.0, 8.0, 96)
+    ranges = cube_domain_ranges(default_lattices(d))
+    # a new list of equal lattices hits the cache, and no caller can change it
+    assert cube_domain_ranges(default_lattices(d)) is ranges
+    assert ranges.dtype == np.intp and not ranges.flags.writeable
+    with pytest.raises(ValueError):
+        ranges[0, 0] = 1
+    other = cube_domain_ranges(default_lattices(Domain1D(-8.0, 8.0, 48)))
+    assert other is not ranges and other[-1, 1] == 48
+
+
 def test_cube_sweeps_load_no_numpy_ma():
     # np.unique imports numpy.ma on its first call; the cube sweeps avoid it
     code = ("import sys, varharm as v; d = v.Domain1D(-8.0, 8.0, 96); "
             "lats = v.default_lattices(d); f = v.GridFunction.indicator(d, -1.0, 1.0); "
-            "v.bmo_norm(f, v.cube_domain_ranges(lats)); v.build_sparse_family(f, lats[0]); "
+            "v.bmo_nu_norm(f, v.Weight.constant(d), v.cube_domain_ranges(lats)); "
+            "v.build_sparse_family(f, lats[0]); "
             "print('numpy.ma' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout

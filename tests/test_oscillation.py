@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varharm import (Ball, Domain1D, GridFunction, ResolutionError, Weight,
-                     WitnessPlacementError, bmo_norm, bmo_nu_equivalence,
-                     bmo_nu_norm, cal_bmo_omega_norm, cube_domain_ranges,
+                     WitnessPlacementError, bmo_nu_equivalence, bmo_nu_norm,
+                     cal_bmo_omega_norm, cube_domain_ranges, cube_oscillations,
                      default_lattices, is_median, local_mean_oscillation,
                      median, oscillation_witness, power_weight)
 
@@ -24,20 +24,6 @@ def test_ball_cell_range():
         Ball(0.0, -1.0)
     with pytest.raises(ValueError):
         Ball(100.0, 1.0).cell_range(d)
-
-
-def test_bmo_norm_examples():
-    d = Domain1D(-8.0, 8.0, 384)
-    ranges = cube_domain_ranges(default_lattices(d))
-    const = GridFunction(d, np.full(d.cells, 4.2))
-    assert bmo_norm(const, ranges) == 0.0
-    # chi_[0,1] on Q = [0,2): mean 1/2, oscillation exactly 1/2
-    step = GridFunction.indicator(d, 0.0, 1.0)
-    assert bmo_norm(step, [_cells_of(d, 0.0, 2.0)]) == pytest.approx(0.5, abs=1e-12)
-    # additive-constant invariance
-    shifted = GridFunction(d, step.values + 17.0)
-    assert bmo_norm(shifted, ranges) == pytest.approx(bmo_norm(step, ranges),
-                                                      abs=1e-12)
 
 
 def test_bmo_nu_norm():
@@ -203,18 +189,17 @@ def test_oscillation_witness_errors():
 
 
 def _sweeps_per_range(b, nu, ranges, tau):
-    """Range-by-range oracle for bmo_norm, bmo_nu_norm and the rhs of
-    bmo_nu_equivalence: the recentred mean and the sorted-sample window
+    """Range-by-range oracle for cube_oscillations, bmo_nu_norm and the rhs
+    of bmo_nu_equivalence: the recentred mean and the sorted-sample window
     minimum taken on each slice on its own. Each range is also checked
     alone, since a last-bit change need not move the sup."""
     h = b.domain.h
-    bmo = bmo_nu = rhs = 0.0
+    bmo_nu = rhs = 0.0
     for s, e in ranges:
         v = b.values[s:e]
         dev = np.abs(v - (v[0] + (v - v[0]).mean()))
-        assert bmo_norm(b, [(s, e)]) == max(0.0, float(dev.mean()))
+        assert cube_oscillations(b, [(s, e)]).tolist() == [dev.sum() * h]
         assert bmo_nu_norm(b, nu, [(s, e)]) == max(0.0, dev.sum() * h / nu.measure(s, e))
-        bmo = max(bmo, float(dev.mean()))
         bmo_nu = max(bmo_nu, dev.sum() * h / nu.measure(s, e))
         k_cells = e - s
         if tau * k_cells >= 1.0:
@@ -224,7 +209,7 @@ def _sweeps_per_range(b, nu, ranges, tau):
             a = float((sv[m - 1:] - sv[:k_cells - m + 1]).min()) / 2.0
             assert local_mean_oscillation(b, (s, e), tau) == a
             rhs = max(rhs, k_cells * h / nu.measure(s, e) * a)
-    return bmo, bmo_nu, rhs
+    return bmo_nu, rhs
 
 
 @pytest.mark.parametrize("cells, all_intervals", [(384, False), (48, True)])
@@ -241,9 +226,11 @@ def test_range_sweeps_equal_per_range_loops(cells, all_intervals, tau):
     for b in (GridFunction(d, rng.standard_normal(cells)),
               GridFunction(d, np.sin(3.0 * x) + 0.1 * x),
               GridFunction.indicator(d, 0.0, 1.0)):
-        bmo, bmo_nu, rhs = _sweeps_per_range(b, nu, ranges, tau)
-        assert bmo_norm(b, ranges) == bmo
+        bmo_nu, rhs = _sweeps_per_range(b, nu, ranges, tau)
         assert bmo_nu_norm(b, nu, ranges) == bmo_nu
+        # a precomputed oscillation gives the same floats, for list and array ranges
+        for rs in (ranges, np.array(ranges)):
+            assert bmo_nu_norm(b, nu, rs, osc=cube_oscillations(b, rs)) == bmo_nu
         usable = [(s, e) for s, e in ranges if tau * (e - s) >= 1.0]
         rep = bmo_nu_equivalence(b, nu, ranges, tau=tau)
         assert rep.lhs == bmo_nu_norm(b, nu, usable)
@@ -254,7 +241,8 @@ def test_range_sweeps_over_no_ranges():
     d = Domain1D(-8.0, 8.0, 48)
     b = GridFunction(d, d.x())
     nu = Weight.constant(d)
-    assert bmo_norm(b, []) == 0.0
     assert bmo_nu_norm(b, nu, []) == 0.0
+    assert cube_oscillations(b, []).shape == (0,)
+    assert bmo_nu_norm(b, nu, [], osc=cube_oscillations(b, [])) == 0.0
     rep = bmo_nu_equivalence(b, nu, [])
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.degenerate

@@ -6,9 +6,9 @@ import pytest
 
 from varharm import (Domain1D, GridFunction, Weight, a1_constant,
                      ainf_constant, ap_constant, bloom_weight,
-                     compute_constants, critical_index_estimate,
-                     default_lattices, hl_maximal, power_weight,
-                     truncated_tail_integral)
+                     compute_constants, default_lattices, hl_maximal,
+                     power_weight)
+from varharm.lattice import _level_starts, _runs, _width_groups
 
 
 def _random_weight(domain, seed, spread=1.0):
@@ -166,23 +166,6 @@ def test_power_weight():
         power_weight(1.0, d, floor=0.0)
 
 
-def test_critical_index_estimate():
-    d = Domain1D(-8.0, 8.0, 384)
-    assert critical_index_estimate(Weight.constant(d)) == 1.0
-    ests = [critical_index_estimate(power_weight(a, d)) for a in (0.3, 0.6, 0.9)]
-    assert all(e > 1.0 for e in ests)
-    assert ests[0] < ests[1] < ests[2]  # blow-up onset grows with the power
-
-
-def test_truncated_tail_integral():
-    d = Domain1D(-8.0, 8.0, 1536)
-    got = truncated_tail_integral(Weight.constant(d))
-    assert got == pytest.approx(2.0 * math.log(9.0), abs=1e-3)
-    # grows with the domain when global integrability fails
-    big = Domain1D(-16.0, 16.0, 1536)
-    assert truncated_tail_integral(Weight.constant(big)) > got + 1.0
-
-
 def test_compute_constants_json():
     d = Domain1D(-8.0, 8.0, 96)
     wc = compute_constants(power_weight(0.3, d), ps=(1.5, 2.0))
@@ -216,3 +199,35 @@ def test_ainf_constant_equals_per_cube_definition(cells, kind):
          "lognormal": lambda: _random_weight(d, 5, spread=1.5)}[kind]()
     lats = default_lattices(d)
     assert ainf_constant(w, lats) == _ainf_per_cube(w, lats)
+
+
+def _ainf_all_parts(w, lattices):
+    """The sweep over every (lattice, level) part for every cut, pruning
+    nothing: each cut's maximal function takes the running max over all
+    parts, each summing w over the runs of starts | cut by bincount."""
+    vals = w.values
+    parts = _level_starts(lattices)
+    best = 0.0
+    for cut, _ in parts:
+        m = np.zeros(len(vals))
+        for starts, width in parts:
+            key = np.cumsum(starts | cut) - 1
+            np.maximum(m, np.bincount(key, weights=vals)[key] / width, out=m)
+        for _, _, cells in _width_groups(_runs(cut)):
+            best = max(best, (m[cells].sum(axis=1) / vals[cells].sum(axis=1)).max())
+    return float(best)
+
+
+@pytest.mark.parametrize("cells", [96, 768, 3072])
+@pytest.mark.parametrize("kind", ["constant", "power+", "power-", "lognormal1.5",
+                                  "lognormal4"])
+def test_ainf_constant_equals_all_parts_sweep(cells, kind):
+    # the pruned sweep drops only cubes that cannot win, so the floats agree
+    d = Domain1D(-8.0, 8.0, cells)
+    w = {"constant": lambda: Weight.constant(d, 2.5),
+         "power+": lambda: power_weight(0.6, d),
+         "power-": lambda: power_weight(-0.6, d),
+         "lognormal1.5": lambda: _random_weight(d, cells, spread=1.5),
+         "lognormal4": lambda: _random_weight(d, cells + 1, spread=4.0)}[kind]()
+    lats = default_lattices(d)
+    assert ainf_constant(w, lats) == _ainf_all_parts(w, lats)
