@@ -6,7 +6,7 @@ from .atoms import (Atom, AtomConstructionError, AtomReport, Ball,
                     SgnAtomResult, make_atom, sgn_atom, validate_atom)
 from .grid import (Domain1D, GridFunction, KernelSpec, ResolutionError,
                    ScaleFamily, convolve, convolve_family, eval_kernel_dilated,
-                   hardy_norm, lp_norm, smooth_maximal, weak_l1_norm)
+                   lp_norm, weak_l1_norm)
 from .harness import (ExperimentConfig, RatioTable, battery_generate,
                       parse_config, run_experiment)
 from .lattice import (AlignmentError, Cube, DyadicLattice, cube_domain_ranges,
@@ -18,14 +18,13 @@ from .oscillation import (EquivalenceReport, TailNormReport,
                           cube_oscillations, is_median, local_mean_oscillation,
                           median, oscillation_witness)
 from .sparse import (DominationReport, SparseConstructionError, SparseFamily,
-                     SparseReport,
-                     build_sparse_family, domination_check, sparse_commutator,
-                     sparse_commutator_star, sparse_operator, validate_sparse)
+                     SparseReport, build_sparse_family, domination_check,
+                     sparse_commutator, sparse_commutator_star, sparse_operator,
+                     validate_sparse)
 from .variation import (VariationProfile, commutator_family,
                         commutator_family_direct, commutator_variation,
-                        grand_maximal_variation, kernel_difference_variation,
-                        seq_variation_bruteforce, seq_variation_dp,
-                        variation_operator)
+                        kernel_difference_variation, seq_variation_bruteforce,
+                        seq_variation_dp, variation_operator)
 from .weights import (Weight, WeightConstants, a1_constant, ainf_constant,
                       ap_constant, bloom_weight, compute_constants,
                       power_weight)

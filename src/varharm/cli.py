@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
-from .grid import Domain1D, GridFunction, KernelSpec, ScaleFamily
-from .harness import ConfigError, ExperimentConfig, parse_config, run_experiment
+from .grid import Domain1D, GridFunction, KernelSpec, ScaleFamily, convolve
+from .harness import (EXPERIMENT_IDS, ConfigError, ExperimentConfig, parse_config,
+                      run_experiment)
 from .oscillation import is_median, median
 from .sparse import build_sparse_family, validate_sparse
 from .variation import (commutator_variation, seq_variation_bruteforce,
@@ -108,7 +110,6 @@ def _check_median() -> bool:
 def _check_kernel_mass() -> bool:
     d = Domain1D(-12.0, 12.0, 384)
     f = GridFunction(d, np.ones(d.cells))
-    from .grid import convolve
     mid = d.cells // 2
     if abs(convolve(f, KernelSpec("gaussian-heat"), 0.5).values[mid] - 1.0) > 1e-6:
         return False
@@ -116,7 +117,6 @@ def _check_kernel_mass() -> bool:
     if abs(convolve(f, KernelSpec("compact-bump"), 2.0).values[mid] - 1.0) > 1e-6:
         return False
     # poisson mass outside the domain is analytic: 1 - (2/pi) arctan(R/t)
-    import math
     tail = 1.0 - (2.0 / math.pi) * math.atan(12.0 / 0.5)
     val = convolve(f, KernelSpec("poisson"), 0.5).values[mid]
     return abs(val - 1.0) <= 2.0 * tail + 1e-3
@@ -163,7 +163,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a batch experiment")
-    p_run.add_argument("--experiment", choices=[f"E{i}" for i in range(1, 9)])
+    p_run.add_argument("--experiment", choices=EXPERIMENT_IDS)
     p_run.add_argument("--config", help="flat key=value config file")
     p_run.add_argument("--out", help="output directory")
     p_run.add_argument("--seed", type=int)

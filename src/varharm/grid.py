@@ -89,7 +89,7 @@ class GridFunction:
                 fh.write(f"{xi:.17g},{vi:.17g}\n")
 
     @classmethod
-    def read_csv(cls, path, domain: Domain1D | None = None) -> "GridFunction":
+    def read_csv(cls, path) -> "GridFunction":
         """Read a file written by to_csv: the header 'x,value', then one
         'x,value' row per cell; blank lines are skipped."""
         xs, vs = [], []
@@ -114,12 +114,11 @@ class GridFunction:
             raise ValueError(f"need at least 2 rows, got {len(xs)}")
         xs = np.asarray(xs)
         vs = np.asarray(vs)
-        if domain is None:
-            h = xs[1] - xs[0]
-            domain = Domain1D(xs[0] - h / 2, xs[-1] + h / 2, len(xs))
-            # written so that a NaN or an overflowed midpoint also fails
-            if not np.all(np.abs(xs - domain.x()) <= 1e-3 * domain.h):
-                raise ValueError("x values are not a uniform grid of cell midpoints")
+        h = xs[1] - xs[0]
+        domain = Domain1D(xs[0] - h / 2, xs[-1] + h / 2, len(xs))
+        # written so that a NaN or an overflowed midpoint also fails
+        if not np.all(np.abs(xs - domain.x()) <= 1e-3 * domain.h):
+            raise ValueError("x values are not a uniform grid of cell midpoints")
         return cls(domain, vs)
 
 
@@ -142,31 +141,22 @@ def _bump_raw(u: np.ndarray) -> np.ndarray:
     return out
 
 
-KERNEL_KINDS = ("gaussian-heat", "poisson", "compact-bump", "flat-bump", "witness-bump")
+KERNEL_KINDS = ("gaussian-heat", "poisson", "compact-bump")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Mother kernel for the dilation family phi_t(x) = t^{-1} phi(x/t).
 
-    gaussian-heat and poisson have unit mass; compact-bump is the normalized
-    smooth bump on [-1, 1]. flat-bump (== 1 on [-1, 1], supported in [-2, 2])
-    and witness-bump (>= 1 near +1, supported near +1) deliberately give up
-    unit mass and are flagged accordingly.
+    Each kind has unit mass: gaussian-heat and poisson analytically,
+    compact-bump as the normalized smooth bump on [-1, 1].
     """
 
     kind: str
-    delta: float = 0.25  # witness-bump plateau half-width
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "witness-bump" and not self.delta > 0:
-            raise ValueError("witness-bump requires delta > 0")
-
-    @property
-    def unit_mass(self) -> bool:
-        return self.kind in ("gaussian-heat", "poisson", "compact-bump")
 
     def profile(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -174,23 +164,7 @@ class KernelSpec:
             return np.exp(-x * x) / math.sqrt(math.pi)
         if self.kind == "poisson":
             return (1.0 / math.pi) / (1.0 + x * x)
-        if self.kind == "compact-bump":
-            return _bump_raw(x) / _bump_mass()
-        if self.kind == "flat-bump":
-            # == 1 on [-1, 1], smooth roll-off to 0 at |x| = 2
-            ax = np.abs(x)
-            out = np.zeros_like(ax)
-            out[ax <= 1.0] = 1.0
-            mid = (ax > 1.0) & (ax < 2.0)
-            u = 2.0 - ax[mid]  # in (0, 1), u=1 at |x|=1
-            g = np.exp(-1.0 / u)
-            g1 = np.exp(-1.0 / (1.0 - u))
-            out[mid] = g / (g + g1)
-            return out
-        # witness-bump: 2 e^{1} exp(-1/(1-u^2)) with u = (x-1)/(4 delta),
-        # so phi >= 1 on [1 - delta, 1 + delta]
-        u = (x - 1.0) / (4.0 * self.delta)
-        return 2.0 * math.e * _bump_raw(u)
+        return _bump_raw(x) / _bump_mass()
 
 
 def eval_kernel_dilated(kernel: KernelSpec, t: float, x) -> np.ndarray | float:
@@ -374,15 +348,3 @@ def weak_l1_norm(f: GridFunction, weight=None) -> float:
     vals = sorted_a * cum_w
     return float(vals.max(initial=0.0))
 
-
-def smooth_maximal(f: GridFunction, kernel: KernelSpec,
-                   scales: ScaleFamily) -> GridFunction:
-    """M_phi f(x) = max_{t in S} |(phi_t * f)(x)|."""
-    convs = convolve_family(f, kernel, scales)
-    return GridFunction(f.domain, np.abs(convs).max(axis=1))
-
-
-def hardy_norm(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
-               weight, p: float) -> float:
-    """L^p(w) norm of the smooth maximal function."""
-    return lp_norm(smooth_maximal(f, kernel, scales), p, weight)

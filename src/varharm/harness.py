@@ -20,8 +20,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .atoms import make_atom, sgn_atom
-from .grid import (Domain1D, GridFunction, KernelSpec, ScaleFamily, convolve_family, lp_norm,
-                   weak_l1_norm)
+from .grid import (KERNEL_KINDS, Domain1D, GridFunction, KernelSpec, ScaleFamily,
+                   convolve_family, lp_norm, weak_l1_norm)
 from .lattice import cube_domain_ranges, default_lattices
 from .oscillation import (Ball, bmo_nu_norm, cal_bmo_omega_norm, cube_oscillations,
                           oscillation_witness)
@@ -77,8 +77,8 @@ class ExperimentConfig:
         # cells * 2**refine > cap, without building 2**refine for a huge refine
         if self.cells > _MAX_FINEST_CELLS >> self.refine:
             raise ConfigError(f"cells * 2**refine must not exceed {_MAX_FINEST_CELLS}")
-        if self.kernel not in ("gaussian-heat", "poisson", "compact-bump"):
-            raise ConfigError(f"kernel {self.kernel!r} not usable as approximate identity")
+        if self.kernel not in KERNEL_KINDS:
+            raise ConfigError(f"unknown kernel {self.kernel!r}")
         if not 2 < self.rho <= _RHO_MAX:
             raise ConfigError(f"experiments require 2 < rho <= {_RHO_MAX:g}")
         if not 0 < self.scale_ratio < 1:
@@ -463,8 +463,8 @@ def _run_e5(ctx: RunContext, table: RatioTable) -> None:
                     case = f"{bid}|{fid}|p={p}|mu={amu:+g}|lam={alam:+g}"
                     with table.case(case, {"p": p, "mu_pow": amu, "lam_pow": alam}) as add:
                         mu, lam = ctx.weight(amu), ctx.weight(alam)
-                        ap_mu = ctx.once(("ap mu", *pair), ap_constant, mu, p, ctx.lattices)
-                        ap_lam = ctx.once(("ap lam", *pair), ap_constant, lam, p, ctx.lattices)
+                        ap_mu = ctx.once(("ap", p, amu), ap_constant, mu, p, ctx.lattices)
+                        ap_lam = ctx.once(("ap", p, alam), ap_constant, lam, p, ctx.lattices)
                         nu = ctx.once(("nu", *pair), bloom_weight, mu, lam, p)
                         ranges = ctx.once("ranges", cube_domain_ranges, ctx.lattices)
                         osc = ctx.once(("osc", bid), cube_oscillations, b, ranges)

@@ -3,8 +3,7 @@
 Three lattices with mutual shifts of one third of the cube length at every
 level make every interval comparable to some lattice cube (the one-third
 trick), so suprema over "all cubes" are realized over the union of the
-three cube sets. An exhaustive all-intervals oracle is kept behind a flag
-for small grids.
+three cube sets.
 """
 
 from __future__ import annotations
@@ -147,10 +146,8 @@ def max_aligned_depth(domain: Domain1D) -> int:
     return depth
 
 
-def default_lattices(domain: Domain1D, depth: int | None = None) -> list[DyadicLattice]:
-    if depth is None:
-        depth = max_aligned_depth(domain)
-    return lattices_for_domain(domain, depth)
+def default_lattices(domain: Domain1D) -> list[DyadicLattice]:
+    return lattices_for_domain(domain, max_aligned_depth(domain))
 
 
 def _level_starts(lattices) -> list[tuple[np.ndarray, int]]:
@@ -212,16 +209,12 @@ def _width_groups(ranges):
         yield width, rows, r[rows, 0][:, None] + np.arange(width)
 
 
-def hl_maximal(f: GridFunction, lattices=None, exhaustive: bool = False) -> GridFunction:
+def hl_maximal(f: GridFunction, lattices=None) -> GridFunction:
     """Hardy-Littlewood maximal function over shifted-lattice cubes.
 
     M f(x_i) = max over lattice cubes Q containing x_i of the average of |f|
     over Q (f extended by zero outside the domain, full cube measure).
-    exhaustive=True replaces the cube set with all grid-aligned intervals
-    (slow oracle, N <= 2048).
     """
-    if exhaustive:
-        return _hl_maximal_exhaustive(f)
     if lattices is None:
         lattices = default_lattices(f.domain)
     return GridFunction(f.domain, _lattice_maximal(np.abs(f.values), _level_starts(lattices)))
@@ -237,20 +230,3 @@ def _lattice_maximal(a: np.ndarray, parts, cut: np.ndarray | None = None) -> np.
         np.maximum(out, (np.bincount(key, weights=a) / width)[key], out=out)
     return out
 
-
-def _hl_maximal_exhaustive(f: GridFunction) -> GridFunction:
-    n = f.domain.cells
-    if n > 2048:
-        raise ValueError("exhaustive maximal oracle limited to N <= 2048")
-    s = np.concatenate([[0.0], np.cumsum(np.abs(f.values))])
-    lengths = np.arange(1, n + 1, dtype=float)
-    # avg[a, b-1] = mean of |f| over cells [a, b)
-    avg = np.full((n, n), -np.inf)
-    for a in range(n):
-        avg[a, a:] = (s[a + 1:] - s[a]) / lengths[: n - a]
-    # best_b[a, i] = max over b >= i+1 of avg[a, b-1]
-    suffix = np.maximum.accumulate(avg[:, ::-1], axis=1)[:, ::-1]
-    running = np.full(n, -np.inf)
-    for a in range(n):
-        running[a:] = np.maximum(running[a:], suffix[a, a:])
-    return GridFunction(f.domain, running)

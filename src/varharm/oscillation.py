@@ -67,7 +67,6 @@ def bmo_nu_norm(b: GridFunction, nu: Weight, ranges, osc=None) -> float:
 @dataclass
 class TailNormReport:
     norm: float
-    per_ball: list  # (ball, tail integral, oscillation integral, value)
     truncated: bool = True  # outer integral clipped to the domain
 
 
@@ -80,7 +79,6 @@ def cal_bmo_omega_norm(b: GridFunction, w: Weight, balls) -> TailNormReport:
     d = b.domain
     x = d.x()
     h = d.h
-    rows = []
     best = 0.0
     for ball in balls:
         s, e = ball.cell_range(d)
@@ -88,10 +86,8 @@ def cal_bmo_omega_norm(b: GridFunction, w: Weight, balls) -> TailNormReport:
         mask[s:e] = False
         tail = float((w.values[mask] / np.abs(x[mask] - ball.center)).sum() * h)
         osc = float(np.abs(_recentred(b.values[s:e])).sum() * h)
-        val = tail * osc / w.measure(s, e)
-        rows.append((ball, tail, osc, val))
-        best = max(best, val)
-    return TailNormReport(norm=best, per_ball=rows)
+        best = max(best, tail * osc / w.measure(s, e))
+    return TailNormReport(norm=best)
 
 
 def median(f: GridFunction, cells) -> float:

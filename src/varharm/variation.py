@@ -21,7 +21,6 @@ import numpy as np
 
 from .grid import (Domain1D, GridFunction, KernelSpec, ScaleFamily,
                    convolve_family, eval_kernel_dilated)
-from .lattice import DyadicLattice
 
 
 def _variation_dp_full(a: np.ndarray, rho: float) -> np.ndarray:
@@ -284,28 +283,3 @@ def kernel_difference_variation(kernel: KernelSpec, xi: float, z: float, y: floa
     seq = kernel.profile((xi - y) / t) / t - kernel.profile((z - y) / t) / t
     return seq_variation_dp(seq, rho)
 
-
-def grand_maximal_variation(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
-                            rho: float, lattices: list[DyadicLattice]) -> GridFunction:
-    """sup over lattice cubes Q containing x of max_{xi in Q} V_rho(Phi * (f chi_{3Q^c}))(xi).
-
-    Cost grows like #cubes * N * m^2; intended for desk-scale grids.
-    """
-    n = f.domain.cells
-    out = np.zeros(n)
-    for lat in lattices:
-        for cube in lat.cubes():
-            qs, qe = cube.domain_cell_range()
-            if qe <= qs:
-                continue
-            ts, te = cube.tripled_domain_cell_range()
-            g = f.values.copy()
-            g[ts:te] = 0.0
-            if np.any(g):
-                prof = variation_operator(GridFunction(f.domain, g), kernel,
-                                          scales, rho)
-                val = prof.values[qs:qe].max()
-            else:
-                val = 0.0
-            np.maximum(out[qs:qe], val, out=out[qs:qe])
-    return GridFunction(f.domain, out)

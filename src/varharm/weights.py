@@ -1,8 +1,7 @@
 """Muckenhoupt weight classes and their constants on the grid.
 
 All suprema over cubes are realized over the three shifted dyadic lattices,
-with cubes clipped to the computational domain; an exhaustive all-intervals
-mode is available as a slow oracle for small grids.
+with cubes clipped to the computational domain.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from .lattice import (_lattice_maximal, _level_starts, _runs, _width_groups,
 
 @dataclass
 class Weight:
-    """Strictly positive grid function, optionally tagged with its analytic form."""
+    """Strictly positive grid function."""
 
     base: GridFunction
-    tag: str | None = None
 
     def __post_init__(self):
         if np.any(self.base.values <= 0):
@@ -43,8 +41,7 @@ class Weight:
 
     @classmethod
     def constant(cls, domain: Domain1D, c: float = 1.0) -> "Weight":
-        return cls(GridFunction(domain, np.full(domain.cells, float(c))),
-                   tag=f"const:{c}")
+        return cls(GridFunction(domain, np.full(domain.cells, float(c))))
 
 
 @dataclass
@@ -74,18 +71,7 @@ class WeightConstants:
         }, indent=2, allow_nan=False)
 
 
-def _ranges(w: Weight, lattices, exhaustive: bool) -> np.ndarray:
-    """(K, 2) cell ranges: every interval (exhaustive) or the lattice cubes."""
-    if exhaustive:
-        if w.domain.cells > 512:
-            raise ValueError("exhaustive interval mode limited to N <= 512")
-        return np.stack(np.triu_indices(w.domain.cells + 1, 1), axis=1)
-    if lattices is None:
-        lattices = default_lattices(w.domain)
-    return cube_domain_ranges(lattices)
-
-
-def ap_constant(w: Weight, p: float, lattices=None, exhaustive: bool = False) -> float:
+def ap_constant(w: Weight, p: float, lattices=None) -> float:
     """[w]_{A_p} = sup_Q <w>_Q <w^{1-p'}>_Q^{p-1} over the lattice cube set."""
     if p <= 1:
         raise ValueError("A_p constant requires p > 1")
@@ -98,7 +84,9 @@ def ap_constant(w: Weight, p: float, lattices=None, exhaustive: bool = False) ->
         # constant is beyond any threshold of interest
         return math.inf
     cw = np.concatenate([[0.0], np.cumsum(vals)])
-    s, e = _ranges(w, lattices, exhaustive).T
+    if lattices is None:
+        lattices = default_lattices(w.domain)
+    s, e = cube_domain_ranges(lattices).T
     avg_w = (cw[e] - cw[s]) / (e - s)
     avg_d = (cd[e] - cd[s]) / (e - s)
     # Python float powers: numpy's array power can differ from C pow by an ulp
@@ -109,9 +97,9 @@ def ap_constant(w: Weight, p: float, lattices=None, exhaustive: bool = False) ->
         return math.inf
 
 
-def a1_constant(w: Weight, lattices=None, exhaustive: bool = False) -> float:
+def a1_constant(w: Weight, lattices=None) -> float:
     """[w]_{A_1} = sup of M w / w over the grid."""
-    m = hl_maximal(w.base, lattices=lattices, exhaustive=exhaustive)
+    m = hl_maximal(w.base, lattices)
     return float((m.values / w.values).max())
 
 
@@ -150,9 +138,8 @@ def ainf_constant(w: Weight, lattices=None) -> float:
     return float(best)
 
 
-def compute_constants(w: Weight, ps=(1.5, 2.0, 4.0), lattices=None) -> WeightConstants:
-    if lattices is None:
-        lattices = default_lattices(w.domain)
+def compute_constants(w: Weight, ps=(1.5, 2.0, 4.0)) -> WeightConstants:
+    lattices = default_lattices(w.domain)
     return WeightConstants(
         ap={p: ap_constant(w, p, lattices) for p in ps},
         a1=a1_constant(w, lattices),
@@ -168,7 +155,7 @@ def bloom_weight(mu: Weight, lam: Weight, p: float) -> Weight:
     if mu.domain != lam.domain:
         raise ValueError("weights must share a domain")
     vals = (mu.values / lam.values) ** (1.0 / p)
-    return Weight(GridFunction(mu.domain, vals), tag=f"bloom:p={p}")
+    return Weight(GridFunction(mu.domain, vals))
 
 
 def power_weight(a: float, domain: Domain1D, floor: float | None = None) -> Weight:
@@ -178,4 +165,4 @@ def power_weight(a: float, domain: Domain1D, floor: float | None = None) -> Weig
     if floor <= 0:
         raise ValueError("floor must be positive")
     vals = np.maximum(np.abs(domain.x()), floor) ** a
-    return Weight(GridFunction(domain, vals), tag=f"power:{a}")
+    return Weight(GridFunction(domain, vals))

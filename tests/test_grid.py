@@ -7,8 +7,7 @@ import pytest
 
 from varharm import (Domain1D, GridFunction, KernelSpec, ResolutionError,
                      ScaleFamily, convolve, convolve_family,
-                     eval_kernel_dilated, hardy_norm, lp_norm, power_weight,
-                     smooth_maximal, weak_l1_norm)
+                     eval_kernel_dilated, lp_norm, power_weight, weak_l1_norm)
 from varharm import grid
 from varharm.grid import KERNEL_KINDS
 
@@ -53,20 +52,6 @@ def test_kernel_masses():
         mass = np.trapezoid(KernelSpec(kind).profile(x), x)
         tol = 1e-6 if kind != "poisson" else 0.025  # poisson tail beyond +-30
         assert mass == pytest.approx(1.0, abs=tol)
-
-
-def test_flat_bump_is_one_on_core():
-    k = KernelSpec("flat-bump")
-    assert not k.unit_mass
-    x = np.linspace(-0.999, 0.999, 101)
-    assert np.all(k.profile(x) == 1.0)
-    assert np.all(k.profile(np.array([2.5, -3.0])) == 0.0)
-
-
-def test_witness_bump_exceeds_one_on_plateau():
-    k = KernelSpec("witness-bump", delta=0.5)
-    x = np.linspace(0.5, 1.5, 41)
-    assert np.all(k.profile(x) >= 1.0)
 
 
 def test_convolve_unit_mass_gaussian():
@@ -247,40 +232,6 @@ def test_scale_family_validation():
     fam = ScaleFamily.geometric(4.0, 0.5, 6, t_min=0.2)
     assert all(t >= 0.2 for t in fam)
     assert len(fam.refine()) == 2 * len(fam) - 1
-
-
-def test_smooth_maximal_single_scale_poisson():
-    d = Domain1D(-8.0, 8.0, 1536)
-    f = GridFunction.indicator(d, -1.0, 1.0)
-    m = smooth_maximal(f, KernelSpec("poisson"), ScaleFamily((1.0,)))
-    assert m.values[d.cell_of(0.0)] == pytest.approx(0.5, abs=1e-3)
-    z = smooth_maximal(GridFunction.zero(d), KernelSpec("poisson"),
-                       ScaleFamily((1.0,)))
-    assert not np.any(z.values)
-
-
-def test_smooth_maximal_monotone_in_scale_refinement():
-    d = Domain1D(-8.0, 8.0, 384)
-    rng = np.random.default_rng(6)
-    f = GridFunction(d, rng.standard_normal(d.cells))
-    k = KernelSpec("gaussian-heat")
-    coarse = ScaleFamily.geometric(4.0, 0.5, 5)
-    fine = coarse.refine()
-    a = smooth_maximal(f, k, coarse).values
-    b = smooth_maximal(f, k, fine).values
-    assert np.all(a <= b + 1e-14)
-
-
-def test_hardy_norm_homogeneity():
-    d = Domain1D(-8.0, 8.0, 192)
-    f = GridFunction.indicator(d, -1.0, 1.0)
-    k = KernelSpec("gaussian-heat")
-    fam = ScaleFamily.for_domain(d, count=8)
-    w = power_weight(0.0, d)
-    base = hardy_norm(f, k, fam, w, 2.0)
-    double = hardy_norm(GridFunction(d, 2.0 * f.values), k, fam, w, 2.0)
-    assert double == pytest.approx(2.0 * base, rel=1e-12)
-    assert hardy_norm(GridFunction.zero(d), k, fam, w, 2.0) == 0.0
 
 
 def test_csv_round_trip(tmp_path):

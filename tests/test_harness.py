@@ -50,7 +50,7 @@ def test_parse_config_round_trip():
     "experiment = E9",                      # unknown id
     "experiment = E1\nflavor = salted",     # unknown key
     "experiment = E1\ncells 384",           # missing '='
-    "experiment = E1\nkernel = flat-bump",  # not an approximate identity
+    "experiment = E1\nkernel = flat-bump",  # no such kernel kind
     "experiment = E1\nrho = 2.0",           # rho must exceed 2
     "experiment = E1\ncells = 17",          # 3N odd, misaligned lattices
     "experiment = E1\np_list = 0.9, 2.0",   # p <= 1 for a strong-type sweep

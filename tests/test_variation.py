@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from varharm import (Ball, Domain1D, GridFunction, KernelSpec, ScaleFamily,
                      commutator_family, commutator_family_direct,
-                     commutator_variation, convolve_family, default_lattices,
-                     grand_maximal_variation, kernel_difference_variation,
-                     make_atom, power_weight, seq_variation_bruteforce,
-                     seq_variation_dp, sgn_atom, variation_operator)
+                     commutator_variation, convolve_family,
+                     kernel_difference_variation, make_atom, power_weight,
+                     seq_variation_bruteforce, seq_variation_dp, sgn_atom,
+                     variation_operator)
 from varharm.grid import KERNEL_KINDS
 from varharm.harness import battery_generate
 from varharm.variation import (_NOISE_FLOOR, _turning_points,
@@ -334,42 +334,6 @@ def test_kernel_difference_variation():
     v_lo = kernel_difference_variation(k, 1.0, 1.2, 5.0, fam, 4.0)
     v_hi = kernel_difference_variation(k, 1.0, 1.2, 5.0, fam, 1.5)
     assert 0.0 < v_lo <= v_hi + 1e-12  # nonincreasing in rho
-
-
-def test_grand_maximal_zero_for_locally_supported():
-    # f supported inside 3Q for every cube containing its support center:
-    # zeroing 3Q removes f, so small cubes near the support contribute 0
-    d = Domain1D(-8.0, 8.0, 96)
-    f = GridFunction.zero(d)
-    lats = default_lattices(d, depth=4)
-    g = grand_maximal_variation(f, KernelSpec("gaussian-heat"),
-                                ScaleFamily.for_domain(d, count=5), 3.0, lats)
-    assert not np.any(g.values)
-
-
-def test_grand_maximal_matches_bruteforce():
-    d = Domain1D(-4.0, 4.0, 96)
-    k = KernelSpec("gaussian-heat")
-    fam = ScaleFamily.for_domain(d, t_max=2.0, count=5)
-    rng = np.random.default_rng(16)
-    f = GridFunction(d, rng.standard_normal(d.cells))
-    lats = default_lattices(d, depth=3)
-    got = grand_maximal_variation(f, k, fam, 3.0, lats).values
-
-    # independent slow reassembly: per-cube masking with per-point DP
-    expect = np.zeros(d.cells)
-    for lat in lats:
-        for cube in lat.cubes():
-            qs, qe = cube.domain_cell_range()
-            ts, te = cube.tripled_domain_cell_range()
-            g = f.values.copy()
-            g[ts:te] = 0.0
-            convs = convolve_family(GridFunction(d, g), k, fam)
-            best = 0.0
-            for i in range(qs, qe):
-                best = max(best, seq_variation_dp(convs[i], 3.0))
-            expect[qs:qe] = np.maximum(expect[qs:qe], best)
-    assert np.max(np.abs(got - expect)) < 1e-12
 
 
 # the floor may only zero entries that the direct sum puts within twice it

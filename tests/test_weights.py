@@ -82,22 +82,35 @@ def test_ap_rejects_bad_exponent():
         ap_constant(Weight.constant(d), 1.0)
 
 
-def test_ap_exhaustive_matches_naive_oracle():
-    d = Domain1D(-2.0, 2.0, 48)
-    w = _random_weight(d, 22)
-    for p in (1.5, 2.0):
-        got = ap_constant(w, p, exhaustive=True)
-        assert got == pytest.approx(_ap_naive_all_intervals(w, p), rel=1e-12)
-    pw = power_weight(0.5, d)
-    got = ap_constant(pw, 2.0, exhaustive=True)
-    assert got == pytest.approx(_ap_naive_all_intervals(pw, 2.0), rel=1e-12)
+@pytest.mark.parametrize("cells", [96, 384])
+@pytest.mark.parametrize("kind", ["lognormal", "power+", "power-"])
+def test_ap_constant_equals_python_cube_sums(cells, kind):
+    # independent oracle: left-to-right Python float sums of w and of the
+    # dual density w^{1-p'} over each lattice cube's domain cells
+    d = Domain1D(-8.0, 8.0, cells)
+    w = {"lognormal": lambda: _random_weight(d, cells, spread=1.5),
+         "power+": lambda: power_weight(0.5, d),
+         "power-": lambda: power_weight(-0.6, d)}[kind]()
+    vals = w.values.tolist()
+    for p in (1.5, 2.0, 4.0):
+        dual = [v ** (1.0 - p / (p - 1.0)) for v in vals]
+        best = 0.0
+        for lat in default_lattices(d):
+            for cube in lat.cubes():
+                s, e = cube.domain_cell_range()
+                sw = sd = 0.0
+                for i in range(s, e):
+                    sw += vals[i]
+                    sd += dual[i]
+                best = max(best, (sw / (e - s)) * (sd / (e - s)) ** (p - 1.0))
+        assert ap_constant(w, p) == pytest.approx(best, rel=1e-12)
 
 
 def test_ap_lattice_dominated_by_exhaustive():
     d = Domain1D(-8.0, 8.0, 96)
     w = _random_weight(d, 23)
     lat = ap_constant(w, 2.0)
-    full = ap_constant(w, 2.0, exhaustive=True)
+    full = _ap_naive_all_intervals(w, 2.0)
     assert lat <= full * (1.0 + 1e-12)
 
 
@@ -119,7 +132,6 @@ def test_ap_overflowing_power_reports_infinity():
     w = Weight(GridFunction(d, vals))
     with np.errstate(over="ignore"):
         assert ap_constant(w, 4.0) == math.inf
-        assert ap_constant(w, 4.0, exhaustive=True) == math.inf
 
 
 def test_a1_constant():
