@@ -9,9 +9,8 @@ from .grid import (Domain1D, GridFunction, KernelSpec, ResolutionError,
                    lp_norm, weak_l1_norm)
 from .harness import (ExperimentConfig, RatioTable, battery_generate,
                       parse_config, run_experiment)
-from .lattice import (AlignmentError, Cube, DyadicLattice, cube_domain_ranges,
-                      default_lattices, hl_maximal, lattices_for_domain,
-                      max_aligned_depth)
+from .lattice import (Cube, DyadicLattice, cube_domain_ranges, default_lattices,
+                      hl_maximal, max_aligned_depth)
 from .oscillation import (EquivalenceReport, TailNormReport,
                           WitnessPlacementError, WitnessResult,
                           bmo_nu_equivalence, bmo_nu_norm, cal_bmo_omega_norm,

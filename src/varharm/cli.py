@@ -17,7 +17,7 @@ from .sparse import build_sparse_family, validate_sparse
 from .variation import (commutator_variation, seq_variation_bruteforce,
                         seq_variation_dp)
 from .weights import Weight, compute_constants
-from .lattice import default_lattices, max_aligned_depth
+from .lattice import default_lattices
 
 
 def _cmd_run(args) -> int:
@@ -147,11 +147,12 @@ def _cmd_info(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load weight: {exc}", file=sys.stderr)
         return 3
-    if max_aligned_depth(gf.domain) < 1:
-        print(f"cannot use weight: 3N = {3 * gf.domain.cells} is odd, so no "
-              "dyadic lattice level aligns with the grid", file=sys.stderr)
+    try:
+        constants = compute_constants(w)
+    except ValueError as exc:
+        print(f"cannot use weight: {exc}", file=sys.stderr)
         return 3
-    print(compute_constants(w).to_json())
+    print(constants.to_json())
     return 0
 
 

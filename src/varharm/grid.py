@@ -228,19 +228,6 @@ class ScaleFamily:
         return ScaleFamily(tuple(out))
 
 
-def _weight_values(w) -> np.ndarray | None:
-    if w is None:
-        return None
-    if isinstance(w, GridFunction):
-        return w.values
-    if isinstance(w, np.ndarray):
-        return w
-    base = getattr(w, "base", None)
-    if base is not None:
-        return base.values
-    raise TypeError(f"cannot interpret {type(w).__name__} as a weight")
-
-
 def convolve(f: GridFunction, kernel: KernelSpec, t: float,
              method: str = "fft") -> GridFunction:
     """Midpoint-quadrature convolution (phi_t * f)(x_i) = h sum_j phi_t(x_i - x_j) f(x_j).
@@ -328,18 +315,15 @@ def lp_norm(f: GridFunction, p: float, weight=None) -> float:
     """(sum_i |f(x_i)|^p w(x_i) h)^{1/p}; Lebesgue measure when weight is None."""
     if p <= 0:
         raise ValueError("p must be positive")
-    w = _weight_values(weight)
     a = np.abs(f.values) ** p
-    if w is not None:
-        a = a * w
+    if weight is not None:
+        a = a * weight.values
     return float((a.sum() * f.domain.h) ** (1.0 / p))
 
 
 def weak_l1_norm(f: GridFunction, weight=None) -> float:
     """sup_alpha alpha * w({|f| >= alpha}) over the sample values of |f|."""
-    w = _weight_values(weight)
-    if w is None:
-        w = np.ones(f.domain.cells)
+    w = np.ones(f.domain.cells) if weight is None else weight.values
     a = np.abs(f.values)
     order = np.argsort(a)[::-1]
     sorted_a = a[order]

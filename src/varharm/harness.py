@@ -103,10 +103,9 @@ class ExperimentConfig:
     def domain(self) -> Domain1D:
         return Domain1D(self.left, self.right, self.cells)
 
-    def scales(self, domain: Domain1D | None = None) -> ScaleFamily:
-        d = domain or self.domain()
-        return ScaleFamily.for_domain(d, t_max=self.t_max, ratio=self.scale_ratio,
-                                      count=self.scale_count)
+    def scales(self) -> ScaleFamily:
+        return ScaleFamily.for_domain(self.domain(), t_max=self.t_max,
+                                      ratio=self.scale_ratio, count=self.scale_count)
 
 
 def _float_list(text: str) -> tuple:
@@ -301,13 +300,11 @@ class RatioTable:
             "refinement_factor": self.refinement_factor,
         }
 
-    def write_json(self, path, timestamp: bool = True) -> None:
+    def write_json(self, path) -> None:
         # strict JSON: a refinement factor that overflowed is written as null
         payload = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                    for k, v in self.summary().items()}
-        if timestamp:
-            payload["generated_at"] = datetime.datetime.now(
-                datetime.timezone.utc).isoformat()
+        payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
@@ -318,12 +315,13 @@ class RatioTable:
 
 class RunContext:
     """What the cases of one run share: the domain, scales and kernel, plus the
-    lattices, the function battery and the `once` values, each built on first use."""
+    function battery and the `once` values, each built on first use. The cube
+    sweeps derive the lattices from the domain themselves."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.domain = cfg.domain()
-        self.scales = cfg.scales(self.domain)
+        self.scales = cfg.scales()
         self.kernel = KernelSpec(cfg.kernel)
         self._memo = {}
         self._latest = None
@@ -345,10 +343,6 @@ class RunContext:
         if self._latest is None or self._latest[0] != key:
             self._latest = (key, fn(*args))
         return self._latest[1]
-
-    @cached_property
-    def lattices(self) -> list:
-        return default_lattices(self.domain)
 
     @cached_property
     def funcs(self) -> list:
@@ -395,7 +389,7 @@ def _run_e1(ctx: RunContext, table: RatioTable) -> None:
             for fid, f in ctx.funcs:
                 with table.case(f"{fid}|p={p}|a={a:+g}", {"p": p, "power": a}) as add:
                     w = ctx.weight(a)
-                    apc = ctx.once(("ap", p, a), ap_constant, w, p, ctx.lattices)
+                    apc = ctx.once(("ap", p, a), ap_constant, w, p)
                     lhs = lp_norm(ctx.once(("profile", fid), ctx.variation, f), p, w)
                     rhs = apc ** _strong_exponent(p) * lp_norm(f, p, w)
                     add(lhs, rhs, ap=apc)
@@ -406,8 +400,8 @@ def _run_e2(ctx: RunContext, table: RatioTable) -> None:
         for fid, f in ctx.funcs:
             with table.case(f"{fid}|a={a:+g}", {"power": a}) as add:
                 w = ctx.weight(a)
-                a1c = ctx.once(("a1", a), a1_constant, w, ctx.lattices)
-                ainfc = ctx.once(("ainf", a), ainf_constant, w, ctx.lattices)
+                a1c = ctx.once(("a1", a), a1_constant, w)
+                ainfc = ctx.once(("ainf", a), ainf_constant, w)
                 lhs = weak_l1_norm(ctx.once(("profile", fid), ctx.variation, f), w)
                 rhs = a1c * math.log(math.e + ainfc) * lp_norm(f, 1.0, w)
                 add(lhs, rhs, a1=a1c, ainf=ainfc)
@@ -441,8 +435,7 @@ def _run_e4(ctx: RunContext, table: RatioTable) -> None:
             if not np.any(f.values):
                 add(0.0, 1.0)
             else:
-                rep = domination_check(f, ctx.kernel, ctx.scales, ctx.cfg.rho,
-                                       lattices=ctx.lattices)
+                rep = domination_check(f, ctx.kernel, ctx.scales, ctx.cfg.rho)
                 flag = "" if rep.n_failures == 0 else f"denominator-zero:{rep.n_failures}"
                 add(rep.max_ratio, 1.0, flag=flag, n_cubes=float(sum(rep.family_sizes)))
 
@@ -463,10 +456,11 @@ def _run_e5(ctx: RunContext, table: RatioTable) -> None:
                     case = f"{bid}|{fid}|p={p}|mu={amu:+g}|lam={alam:+g}"
                     with table.case(case, {"p": p, "mu_pow": amu, "lam_pow": alam}) as add:
                         mu, lam = ctx.weight(amu), ctx.weight(alam)
-                        ap_mu = ctx.once(("ap", p, amu), ap_constant, mu, p, ctx.lattices)
-                        ap_lam = ctx.once(("ap", p, alam), ap_constant, lam, p, ctx.lattices)
+                        ap_mu = ctx.once(("ap", p, amu), ap_constant, mu, p)
+                        ap_lam = ctx.once(("ap", p, alam), ap_constant, lam, p)
                         nu = ctx.once(("nu", *pair), bloom_weight, mu, lam, p)
-                        ranges = ctx.once("ranges", cube_domain_ranges, ctx.lattices)
+                        ranges = ctx.once("ranges", lambda: cube_domain_ranges(
+                            default_lattices(d)))
                         osc = ctx.once(("osc", bid), cube_oscillations, b, ranges)
                         bnorm = ctx.once(("bmo", *pair, bid), bmo_nu_norm, b, nu, ranges, osc)
                         # the profile depends on (b, f) only, not on p or the weights,

@@ -3,7 +3,9 @@
 Three lattices with mutual shifts of one third of the cube length at every
 level make every interval comparable to some lattice cube (the one-third
 trick), so suprema over "all cubes" are realized over the union of the
-three cube sets.
+three cube sets. The grid alone fixes the lattices: `default_lattices`
+builds them at the finest depth whose cube boundaries stay on cell
+boundaries, and every cube sweep derives them from its function's domain.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Domain1D, GridFunction
-
-
-class AlignmentError(ValueError):
-    """Cube boundaries cannot be snapped onto grid cell boundaries."""
 
 
 @dataclass(frozen=True)
@@ -123,19 +121,6 @@ class Cube:
         return max(start, 0), min(start + 3 * w, n)
 
 
-def lattices_for_domain(domain: Domain1D, depth: int) -> list[DyadicLattice]:
-    """The three shifted lattices over an enlarged root containing the domain."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    root_cells = 3 * domain.cells
-    if root_cells % (1 << depth) != 0:
-        need = (1 << depth)
-        raise AlignmentError(
-            f"3N = {root_cells} not divisible by 2^{depth}; "
-            f"choose N so that 3N is a multiple of {need} (e.g. N = {need})")
-    return [DyadicLattice(domain, k, depth) for k in range(3)]
-
-
 def max_aligned_depth(domain: Domain1D) -> int:
     """Largest depth whose cube boundaries stay on cell boundaries."""
     n3 = 3 * domain.cells
@@ -147,7 +132,13 @@ def max_aligned_depth(domain: Domain1D) -> int:
 
 
 def default_lattices(domain: Domain1D) -> list[DyadicLattice]:
-    return lattices_for_domain(domain, max_aligned_depth(domain))
+    """The three shifted lattices over an enlarged root containing the domain,
+    at the finest depth whose cube boundaries stay on cell boundaries."""
+    depth = max_aligned_depth(domain)
+    if depth == 0:
+        raise ValueError(f"3N = {3 * domain.cells} is odd, so no dyadic lattice "
+                         "level aligns with the grid")
+    return [DyadicLattice(domain, k, depth) for k in range(3)]
 
 
 def _level_starts(lattices) -> list[tuple[np.ndarray, int]]:
@@ -209,15 +200,14 @@ def _width_groups(ranges):
         yield width, rows, r[rows, 0][:, None] + np.arange(width)
 
 
-def hl_maximal(f: GridFunction, lattices=None) -> GridFunction:
+def hl_maximal(f: GridFunction) -> GridFunction:
     """Hardy-Littlewood maximal function over shifted-lattice cubes.
 
     M f(x_i) = max over lattice cubes Q containing x_i of the average of |f|
     over Q (f extended by zero outside the domain, full cube measure).
     """
-    if lattices is None:
-        lattices = default_lattices(f.domain)
-    return GridFunction(f.domain, _lattice_maximal(np.abs(f.values), _level_starts(lattices)))
+    parts = _level_starts(default_lattices(f.domain))
+    return GridFunction(f.domain, _lattice_maximal(np.abs(f.values), parts))
 
 
 def _lattice_maximal(a: np.ndarray, parts, cut: np.ndarray | None = None) -> np.ndarray:

@@ -10,7 +10,6 @@ and the walk reruns on the same averages, which pins eta at 1/2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,19 +36,6 @@ class SparseFamily:
     e_sets: dict  # Cube -> np.ndarray of root-grid cell indices
     eta: float
     c0: float | None = None  # threshold multiplier the builder ended with
-
-    def to_json(self) -> str:
-        def ranges(cells):
-            cells = np.sort(np.asarray(cells))
-            runs = np.split(cells, np.flatnonzero(np.diff(cells) != 1) + 1)
-            return [[int(r[0]), int(r[-1]) + 1] for r in runs if len(r)]
-
-        return json.dumps({
-            "lattice": {"shift": self.lattice.shift, "depth": self.lattice.depth},
-            "eta": self.eta,
-            "cubes": [{"level": q.level, "index": q.index} for q in self.cubes],
-            "E": {f"{q.level}:{q.index}": ranges(self.e_sets[q]) for q in self.cubes},
-        }, indent=2)
 
 
 @dataclass
@@ -170,16 +156,14 @@ class DominationReport:
 
 
 def domination_check(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
-                     rho: float, c0: float = 2.0, lattices=None) -> DominationReport:
+                     rho: float) -> DominationReport:
     """max_x V_rho(Phi * f)(x) / sum_j T_{S_j} f(x) over the grid.
 
     Points where the denominator vanishes while the variation exceeds 1e-9
     count as failures rather than being skipped.
     """
-    if lattices is None:
-        lattices = default_lattices(f.domain)
     num = variation_operator(f, kernel, scales, rho).values
-    fams = [build_sparse_family(f, lat, c0=c0) for lat in lattices]
+    fams = [build_sparse_family(f, lat) for lat in default_lattices(f.domain)]
     total = sum((sparse_operator(fam, f).values for fam in fams), np.zeros(f.domain.cells))
     pos = total > 0
     ratios = np.zeros_like(num)

@@ -1,7 +1,7 @@
 """Muckenhoupt weight classes and their constants on the grid.
 
-All suprema over cubes are realized over the three shifted dyadic lattices,
-with cubes clipped to the computational domain.
+All suprema over cubes are realized over the three shifted dyadic lattices
+of the weight's grid, with cubes clipped to the computational domain.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class WeightConstants:
         }, indent=2, allow_nan=False)
 
 
-def ap_constant(w: Weight, p: float, lattices=None) -> float:
+def ap_constant(w: Weight, p: float) -> float:
     """[w]_{A_p} = sup_Q <w>_Q <w^{1-p'}>_Q^{p-1} over the lattice cube set."""
     if p <= 1:
         raise ValueError("A_p constant requires p > 1")
@@ -84,9 +84,7 @@ def ap_constant(w: Weight, p: float, lattices=None) -> float:
         # constant is beyond any threshold of interest
         return math.inf
     cw = np.concatenate([[0.0], np.cumsum(vals)])
-    if lattices is None:
-        lattices = default_lattices(w.domain)
-    s, e = cube_domain_ranges(lattices).T
+    s, e = cube_domain_ranges(default_lattices(w.domain)).T
     avg_w = (cw[e] - cw[s]) / (e - s)
     avg_d = (cd[e] - cd[s]) / (e - s)
     # Python float powers: numpy's array power can differ from C pow by an ulp
@@ -97,13 +95,13 @@ def ap_constant(w: Weight, p: float, lattices=None) -> float:
         return math.inf
 
 
-def a1_constant(w: Weight, lattices=None) -> float:
+def a1_constant(w: Weight) -> float:
     """[w]_{A_1} = sup of M w / w over the grid."""
-    m = hl_maximal(w.base, lattices)
+    m = hl_maximal(w.base)
     return float((m.values / w.values).max())
 
 
-def ainf_constant(w: Weight, lattices=None) -> float:
+def ainf_constant(w: Weight) -> float:
     """Fujii-Wilson constant sup_Q (1/w(Q)) int_Q M(chi_Q w) over the cubes
     of every lattice level.
 
@@ -121,10 +119,8 @@ def ainf_constant(w: Weight, lattices=None) -> float:
     lattices. The ratio sums are width-grouped row sums, which add as slice
     sums do.
     """
-    if lattices is None:
-        lattices = default_lattices(w.domain)
     vals = w.values
-    parts = [_level_starts([lat]) for lat in lattices]
+    parts = [_level_starts([lat]) for lat in default_lattices(w.domain)]
     best = 0.0
     for k, own in enumerate(parts):
         others = [part for j, ps in enumerate(parts) if j != k for part in ps]
@@ -138,13 +134,12 @@ def ainf_constant(w: Weight, lattices=None) -> float:
     return float(best)
 
 
-def compute_constants(w: Weight, ps=(1.5, 2.0, 4.0)) -> WeightConstants:
-    lattices = default_lattices(w.domain)
+def compute_constants(w: Weight) -> WeightConstants:
     return WeightConstants(
-        ap={p: ap_constant(w, p, lattices) for p in ps},
-        a1=a1_constant(w, lattices),
-        ainf=ainf_constant(w, lattices),
-        lattice_shifts=[lat.shift for lat in lattices],
+        ap={p: ap_constant(w, p) for p in (1.5, 2.0, 4.0)},
+        a1=a1_constant(w),
+        ainf=ainf_constant(w),
+        lattice_shifts=[lat.shift for lat in default_lattices(w.domain)],
     )
 
 

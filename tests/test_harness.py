@@ -116,8 +116,6 @@ def test_ratio_table_json(tmp_path):
     t.write_json(tmp_path / "with.json")
     data = json.loads((tmp_path / "with.json").read_text())
     assert "generated_at" in data and data["max_ratio"] == 0.5
-    t.write_json(tmp_path / "without.json", timestamp=False)
-    assert "generated_at" not in json.loads((tmp_path / "without.json").read_text())
 
 
 def test_run_experiment_deterministic():
@@ -398,7 +396,11 @@ def test_cli_info(tmp_path, capsys):
                      ("odd", [0.1, 0.3, 0.5, 0.7, 0.9])]:
         bad = tmp_path / f"{name}.csv"
         bad.write_text("x,value\n" + "".join(f"{x},1.0\n" for x in xs))
+        capsys.readouterr()
         assert cli_main(["info", "--weights", str(bad)]) == 3
+        if name == "odd":
+            assert capsys.readouterr().err == ("cannot use weight: 3N = 15 is odd, so no "
+                                               "dyadic lattice level aligns with the grid\n")
 
 
 def _reject_constant(name):

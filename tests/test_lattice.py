@@ -4,9 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from varharm import (AlignmentError, Domain1D, GridFunction,
-                     cube_domain_ranges, default_lattices, hl_maximal,
-                     lattices_for_domain, max_aligned_depth)
+from varharm import (Domain1D, GridFunction, cube_domain_ranges, default_lattices,
+                     hl_maximal, max_aligned_depth)
 from varharm.lattice import _sorted_unique
 
 
@@ -27,21 +26,17 @@ def _hl_maximal_exhaustive(f):
     return running
 
 
-def test_alignment_error():
-    d = Domain1D(-8.0, 8.0, 100)  # 3N = 300 not divisible by 32
-    with pytest.raises(AlignmentError):
-        lattices_for_domain(d, 5)
-
-
 def test_max_aligned_depth():
     assert max_aligned_depth(Domain1D(0.0, 1.0, 96)) == 5   # 288 = 2^5 * 9
     assert max_aligned_depth(Domain1D(0.0, 1.0, 3)) == 0    # 9 odd
     assert max_aligned_depth(Domain1D(0.0, 1.0, 3072)) == 10
+    with pytest.raises(ValueError):
+        default_lattices(Domain1D(0.0, 1.0, 3))
 
 
 def test_roots_contain_domain_and_relative_shifts():
     d = Domain1D(-8.0, 8.0, 96)
-    lats = lattices_for_domain(d, 5)
+    lats = default_lattices(d)
     root_len = 3 * d.length
     for lat in lats:
         assert lat.root_left <= d.left
@@ -53,7 +48,7 @@ def test_roots_contain_domain_and_relative_shifts():
 
 def test_cube_geometry_and_children_partition():
     d = Domain1D(-8.0, 8.0, 96)
-    lat = lattices_for_domain(d, 5)[1]
+    lat = default_lattices(d)[1]
     q = lat.cube(2, 1)
     a, b = q.children()
     assert a.root_cell_range()[0] == q.root_cell_range()[0]
@@ -70,7 +65,7 @@ def test_one_third_trick_exhaustive():
     # every grid interval of moderate width sits inside some cube of at most
     # six times its length, across the three shifted lattices
     d = Domain1D(0.0, 3.0, 24)  # 3N = 72 = 2^3 * 9, depth 3, deepest width 9
-    lats = lattices_for_domain(d, 3)
+    lats = default_lattices(d)
     n = d.cells
     cube_spans = []  # in domain cell coordinates, unclipped
     for lat in lats:

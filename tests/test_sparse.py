@@ -1,19 +1,16 @@
-import json
-
 import numpy as np
 import pytest
 
 from varharm import (Domain1D, GridFunction, KernelSpec, ScaleFamily,
                      SparseConstructionError, SparseFamily, build_sparse_family,
-                     default_lattices, domination_check, lattices_for_domain,
-                     sparse_commutator, sparse_commutator_star, sparse_operator,
-                     validate_sparse)
+                     default_lattices, domination_check, sparse_commutator,
+                     sparse_commutator_star, sparse_operator, validate_sparse)
 
 
 def _unit_cube_family():
     """Single-cube family whose cube is exactly [0, 1) on the domain grid."""
     d = Domain1D(-1.0 / 3.0, 1.0, 12)  # h = 1/9, 3N = 36 = 4 * 9
-    lat = lattices_for_domain(d, 2)[0]
+    lat = default_lattices(d)[0]
     q = lat.cube(2, 3)
     assert q.domain_cell_range() == (3, 12)
     assert q.left == pytest.approx(0.0, abs=1e-12)
@@ -139,15 +136,6 @@ def test_builder_stopping_property():
                    if ps <= s and e <= pe and (pe - ps) > (e - s)]
         tightest = min(parents, key=lambda p: p.width_cells)
         assert tripled_avg(cube) > 2.0 * tripled_avg(tightest) * (1 - 1e-12)
-
-
-def test_sparse_family_json():
-    d, q, fam = _unit_cube_family()
-    data = json.loads(fam.to_json())
-    assert data["eta"] == 0.5
-    assert data["cubes"] == [{"level": 2, "index": 3}]
-    (rng,) = data["E"]["2:3"]
-    assert rng == [27, 36]
 
 
 def test_domination_check_indicator():

@@ -180,9 +180,9 @@ def test_power_weight():
 
 def test_compute_constants_json():
     d = Domain1D(-8.0, 8.0, 96)
-    wc = compute_constants(power_weight(0.3, d), ps=(1.5, 2.0))
+    wc = compute_constants(power_weight(0.3, d))
     data = json.loads(wc.to_json())
-    assert set(data["ap"]) == {"1.5", "2.0"}
+    assert set(data["ap"]) == {"1.5", "2.0", "4.0"}
     assert data["a1"] >= 1.0
     assert data["ainf"] >= 1.0 - 1e-12
     assert data["lattice_shifts"] == [lat.shift for lat in default_lattices(d)]
@@ -196,7 +196,7 @@ def _ainf_per_cube(w, lattices):
             s, e = cube.domain_cell_range()
             g = np.zeros(w.domain.cells)
             g[s:e] = w.values[s:e]
-            m = hl_maximal(GridFunction(w.domain, g), lattices=lattices)
+            m = hl_maximal(GridFunction(w.domain, g))
             best = max(best, m.values[s:e].sum() / w.values[s:e].sum())
     return best
 
@@ -209,8 +209,7 @@ def test_ainf_constant_equals_per_cube_definition(cells, kind):
          "power+": lambda: power_weight(0.7, d),
          "power-": lambda: power_weight(-0.6, d),
          "lognormal": lambda: _random_weight(d, 5, spread=1.5)}[kind]()
-    lats = default_lattices(d)
-    assert ainf_constant(w, lats) == _ainf_per_cube(w, lats)
+    assert ainf_constant(w) == _ainf_per_cube(w, default_lattices(d))
 
 
 def _ainf_all_parts(w, lattices):
@@ -241,5 +240,4 @@ def test_ainf_constant_equals_all_parts_sweep(cells, kind):
          "power-": lambda: power_weight(-0.6, d),
          "lognormal1.5": lambda: _random_weight(d, cells, spread=1.5),
          "lognormal4": lambda: _random_weight(d, cells + 1, spread=4.0)}[kind]()
-    lats = default_lattices(d)
-    assert ainf_constant(w, lats) == _ainf_all_parts(w, lats)
+    assert ainf_constant(w) == _ainf_all_parts(w, default_lattices(d))
