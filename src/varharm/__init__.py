@@ -14,8 +14,8 @@ from .lattice import (Cube, DyadicLattice, cube_domain_ranges, default_lattices,
 from .oscillation import (EquivalenceReport, TailNormReport,
                           WitnessPlacementError, WitnessResult,
                           bmo_nu_equivalence, bmo_nu_norm, cal_bmo_omega_norm,
-                          cube_oscillations, is_median, local_mean_oscillation,
-                          median, oscillation_witness)
+                          cube_measures, cube_oscillations, is_median,
+                          local_mean_oscillation, median, oscillation_witness)
 from .sparse import (DominationReport, SparseConstructionError, SparseFamily,
                      SparseReport, build_sparse_family, domination_check,
                      sparse_commutator, sparse_commutator_star, sparse_operator,

@@ -58,9 +58,13 @@ def _cmd_run(args) -> int:
         print(f"cannot write results: {exc}", file=sys.stderr)
         return 3
     summary = table.summary()
-    print(f"{cfg.experiment}: {summary['n_cases']} cases, "
-          f"{summary['n_failures']} failures, max ratio {summary['max_ratio']}")
-    print(f"wrote {csv_path} and {json_path}")
+    try:
+        print(f"{cfg.experiment}: {summary['n_cases']} cases, "
+              f"{summary['n_failures']} failures, max ratio {summary['max_ratio']}")
+        print(f"wrote {csv_path} and {json_path}")
+        sys.stdout.flush()
+    except BrokenPipeError:  # reader gone (| head -1): the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 2 if summary["n_failures"] else 0
 
 

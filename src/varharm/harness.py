@@ -23,8 +23,8 @@ from .atoms import make_atom, sgn_atom
 from .grid import (KERNEL_KINDS, Domain1D, GridFunction, KernelSpec, ScaleFamily,
                    convolve_family, lp_norm, weak_l1_norm)
 from .lattice import cube_domain_ranges, default_lattices
-from .oscillation import (Ball, bmo_nu_norm, cal_bmo_omega_norm, cube_oscillations,
-                          oscillation_witness)
+from .oscillation import (Ball, bmo_nu_norm, cal_bmo_omega_norm, cube_measures,
+                          cube_oscillations, oscillation_witness)
 from .sparse import domination_check
 from .variation import commutator_variation, kernel_difference_variation, variation_operator
 from .weights import Weight, a1_constant, ainf_constant, ap_constant, bloom_weight, power_weight
@@ -462,7 +462,9 @@ def _run_e5(ctx: RunContext, table: RatioTable) -> None:
                         ranges = ctx.once("ranges", lambda: cube_domain_ranges(
                             default_lattices(d)))
                         osc = ctx.once(("osc", bid), cube_oscillations, b, ranges)
-                        bnorm = ctx.once(("bmo", *pair, bid), bmo_nu_norm, b, nu, ranges, osc)
+                        measure = ctx.once(("measure", *pair), cube_measures, nu, ranges)
+                        bnorm = ctx.once(("bmo", *pair, bid), bmo_nu_norm, b, nu, ranges,
+                                         osc, measure)
                         # the profile depends on (b, f) only, not on p or the weights,
                         # and phi_t * f on f only: the b's of one f share it
                         prof = ctx.once(("commutator", bid, fid), lambda: ctx.commutator(

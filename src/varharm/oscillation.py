@@ -41,27 +41,34 @@ class Ball:
 
 def cube_oscillations(b: GridFunction, ranges) -> np.ndarray:
     """int_Q |b - <b>_Q| for each range Q, in the order of ranges."""
-    h = b.domain.h
+    return _per_range(b, ranges, lambda v: np.abs(_recentred(v)).sum(axis=1))
+
+
+def cube_measures(w: Weight, ranges) -> np.ndarray:
+    """w(Q) = h sum_Q w for each range Q, in the order of ranges."""
+    return _per_range(w, ranges, lambda v: v.sum(axis=1))
+
+
+def _per_range(f, ranges, row_sums) -> np.ndarray:
+    """h row_sums(f.values[cells]) over the width groups of ranges."""
     r = np.asarray(ranges, dtype=np.intp).reshape(-1, 2)
-    osc = np.empty(len(r))
+    out = np.empty(len(r))
     for _, rows, cells in _width_groups(r):
-        osc[rows] = np.abs(_recentred(b.values[cells])).sum(axis=1) * h
-    return osc
+        out[rows] = row_sums(f.values[cells]) * f.domain.h
+    return out
 
 
-def bmo_nu_norm(b: GridFunction, nu: Weight, ranges, osc=None) -> float:
+def bmo_nu_norm(b: GridFunction, nu: Weight, ranges, osc=None, measure=None) -> float:
     """sup over the cube set of (1/nu(Q)) int_Q |b - <b>_Q|.
 
-    osc, when given, is cube_oscillations(b, ranges), for a caller that
-    weighs one b against several nu."""
+    osc and measure, when given, are cube_oscillations(b, ranges) and
+    cube_measures(nu, ranges), for a caller that weighs several b's against
+    several nu; the result is the same float."""
     if osc is None:
         osc = cube_oscillations(b, ranges)
-    h = b.domain.h
-    best = 0.0
-    for _, rows, cells in _width_groups(ranges):
-        measure = nu.values[cells].sum(axis=1) * h
-        best = max(best, float((osc[rows] / measure).max()))
-    return best
+    if measure is None:
+        measure = cube_measures(nu, ranges)
+    return float(np.max(osc / measure, initial=0.0))
 
 
 @dataclass
@@ -156,13 +163,13 @@ def bmo_nu_equivalence(b: GridFunction, nu: Weight, ranges,
     """
     r = np.asarray(ranges, dtype=np.intp).reshape(-1, 2)
     usable = r[tau * (r[:, 1] - r[:, 0]) >= 1.0]
-    lhs = bmo_nu_norm(b, nu, usable)
+    measure = cube_measures(nu, usable)
+    lhs = bmo_nu_norm(b, nu, usable, measure=measure)
     h = b.domain.h
     rhs = 0.0
-    for width, _, cells in _width_groups(usable):
+    for width, rows, cells in _width_groups(usable):
         a = _window_oscillation(b.values[cells], tau)
-        measure = nu.values[cells].sum(axis=1) * h
-        rhs = max(rhs, float((width * h / measure * a).max()))
+        rhs = max(rhs, float((width * h / measure[rows] * a).max()))
     if lhs == 0.0 and rhs == 0.0:
         return EquivalenceReport(lhs, rhs, math.nan, tau, degenerate=True)
     ratio = lhs / rhs if rhs > 0 else math.inf

@@ -5,8 +5,9 @@ equals the maximum over index subsequences, which a quadratic dynamic
 program computes exactly. For rho >= 1 an optimal subsequence visits only
 the ends and the strict local extrema of the sequence (Butkus & Norvaisa,
 "Computation of p-variation", Lith. Math. J. 58 (2018)), so the batched DP
-runs on those turning points alone, with the same arithmetic; the DP over
-every index stays as its exactness oracle and as the 1-D path. A
+runs on those turning points alone, with the same arithmetic, written out in
+closed form for sequences with two or three of them; the DP over every
+index stays as its exactness oracle and as the 1-D path. A
 brute-force enumeration over all subsequences serves as the independent
 oracle for short inputs. The variation and commutator operators zero the
 FFT round-off of their family before the DP (_zero_noise).
@@ -43,26 +44,24 @@ def _variation_dp_full(a: np.ndarray, rho: float) -> np.ndarray:
     return best.max(axis=0) ** (1.0 / rho)
 
 
-def _turning_points(a: np.ndarray) -> np.ndarray:
-    """Turning points of the sequences in the columns of a (m, n), as a keep
-    mask of shape (n, m): the two ends, and the first entry of each run of
-    equal neighbours that is a strict local extremum."""
-    step = a[1:] != a[:-1]
-    rising = a[1:] > a[:-1]
-    # a run starts wherever step holds; walk the run starts column by column
-    step = step.T.copy()
-    rising = rising.T[step]
-    turn = np.empty(rising.shape, dtype=bool)
-    turn[:-1] = rising[:-1] != rising[1:]
-    # a column's last run has no next run in that column; the end keeps it
-    runs = step.sum(axis=1)
-    turn[np.cumsum(runs)[runs > 0] - 1] = False
-    keep = np.zeros(a.shape[::-1], dtype=bool)
-    keep[:, 1:][step] = turn
-    keep[:, 0] = keep[:, -1] = True
+def _turns(a: np.ndarray) -> np.ndarray:
+    """Interior turning points of the columns of a (m, n), a mask of shape
+    (m - 2, n): turn[i - 1, j] when a[i, j] ends a run of equal entries and
+    the next step reverses the last nonzero one, a strict local extremum."""
+    # rise[i]: the last nonzero step a[j + 1] - a[j] with j <= i is positive;
+    # bool arrays only, as int8 ones would page in more of numpy's code
+    rise = a[1:] > a[:-1]
+    flat = a[1:] == a[:-1]
+    for i in range(1, len(rise)):
+        np.copyto(rise[i], rise[i - 1], where=flat[i])
+    turn = rise[1:] != rise[:-1]
+    # rise reads False through a leading run of flat steps, but the first
+    # nonzero step after it reverses nothing
+    c = np.flatnonzero(flat[0])
+    turn[:, c] &= ~np.logical_and.accumulate(flat[:-1, c], axis=0)
     # inf - inf is NaN and NaN compares false: such columns keep every entry
-    keep[~np.isfinite(a).all(axis=0)] = True
-    return keep
+    turn[:, ~np.isfinite(a).all(axis=0)] = True
+    return turn
 
 
 def _variation_dp_batch(a: np.ndarray, rho: float) -> np.ndarray:
@@ -79,48 +78,70 @@ def _variation_dp_batch(a: np.ndarray, rho: float) -> np.ndarray:
     subtract, abs, power, add and max as in the full DP, and the tests check
     the two for exact equality.
 
-    Sequences are sorted by their turning count k, most first, so step i of
-    the DP runs over the prefix of those with k > i: sum(k^2)/2 pairs in all.
+    _turns keeps the last entry of each such run, equal to its first. With
+    k = 2 or 3 turning points the DP is written out (_dp_short); the other
+    sequences are sorted by k, most first, so step i of the DP runs over the
+    prefix of those with k > i: sum(k^2)/2 pairs in all.
     """
     shape, m = a.shape[:-1], a.shape[-1]
     if m < 2 or a.size == 0:
         return np.zeros(shape)
     # scale-major, like the full DP: a view of an F-ordered family
     a = np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(m, -1)
-    n = a.shape[1]
-    # each index array is freed before the next one grows, so the peak
-    # memory stays near that of the full DP
-    idx = np.flatnonzero(_turning_points(a))
-    # idx = point * m + scale; turn it into the flat index scale * n + point
-    point = idx // m
-    idx -= point * m
-    idx *= n
-    idx += point
-    k = np.bincount(point, minlength=n)
-    del point
-    kept = a.ravel().take(idx)
+    turn = _turns(a)
+    k = turn.sum(axis=0) + 2
+    out = np.empty(a.shape[1])
+    c = np.flatnonzero(k == 2)
+    out[c] = _dp_short(rho, a[0, c], a[-1, c])
+    i, j = np.nonzero(turn[:, k == 3])
+    c = np.flatnonzero(k == 3)[j]
+    out[c] = _dp_short(rho, a[0, c], a[i + 1, c], a[-1, c])
+    c = np.flatnonzero(k > 3)
+    if len(c) == 0:
+        return out.reshape(shape)
+    c = c[np.argsort(-k[c], kind="stable")]
+    k = k[c]
+    keep = np.empty((len(c), m), dtype=bool)
+    keep[:, 0] = keep[:, -1] = True
+    keep[:, 1:-1] = turn.T[c]
+    # the flat indices j * m + i of the kept points, made into i * n + c[j] in
+    # place: each index array is freed before the next one, or the DP's, grows
+    idx = np.flatnonzero(keep)
+    del turn, keep
+    j = idx // m
+    idx -= j * m
+    idx *= a.shape[1]
+    idx += c.take(j)
+    del j
+    # vals[:k[j], j]: the points of column c[j] in order, taken from a itself
+    vals = np.empty((k[0], len(c)))
+    vals.T[np.arange(k[0]) < k[:, None]] = a.ravel().take(idx)
     del idx
-    order = np.argsort(-k, kind="stable")
-    starts = (np.cumsum(k) - k)[order]
     # count[i] = the number of sequences with k > i: a prefix of the order
-    count = n - np.cumsum(np.bincount(k))
-    vals = np.empty((k.max(), n))
-    for i in range(len(vals)):
-        vals[i, :count[i]] = kept[starts[:count[i]] + i]
-    del kept, starts
+    count = len(c) - np.cumsum(np.bincount(k))
     best = np.zeros(vals.shape)
     work = np.empty(max(i * count[i] for i in range(1, len(vals))))
     for i in range(1, len(vals)):
-        c = count[i]
-        inc = work[:i * c].reshape(i, c)
-        np.subtract(vals[:i, :c], vals[i, :c], out=inc)
+        n = count[i]
+        inc = work[:i * n].reshape(i, n)
+        np.subtract(vals[:i, :n], vals[i, :n], out=inc)
         np.abs(inc, out=inc)
         inc **= rho
-        inc += best[:i, :c]
-        best[i, :c] = inc.max(axis=0)
-    out = np.empty(n)
-    out[order] = best.max(axis=0) ** (1.0 / rho)
+        inc += best[:i, :n]
+        best[i, :n] = inc.max(axis=0)
+    out[c] = best.max(axis=0) ** (1.0 / rho)
     return out.reshape(shape)
+
+
+def _dp_short(rho: float, a0, a1, a2=None) -> np.ndarray:
+    """The DP of _variation_dp_batch on the sequences (a0, a1) or (a0, a1, a2),
+    with its operations in its order: the pair sums |a_i - a_j|^rho + best_i,
+    their max, the root. best_0 = 0 adds nothing to a power, which is >= +0."""
+    d01 = np.abs(a0 - a1) ** rho
+    if a2 is None:
+        return d01 ** (1.0 / rho)
+    d12 = np.abs(a1 - a2) ** rho + d01
+    return np.maximum(d01, np.maximum(np.abs(a0 - a2) ** rho, d12)) ** (1.0 / rho)
 
 
 # sqrt(3k) eps for three FFTs of length 2^k, k <= 17; see _zero_noise
@@ -149,7 +170,8 @@ def _zero_noise(fam: np.ndarray) -> np.ndarray:
     top = np.maximum(fam.max(initial=0.0), -fam.min(initial=0.0))
     if np.isfinite(top):
         floor = _NOISE_FLOOR * top
-        np.putmask(fam, (fam <= floor) & (fam >= -floor), 0.0)
+        # copyto walks fam in memory order, putmask across an F-ordered fam's rows
+        np.copyto(fam, 0.0, where=(fam <= floor) & (fam >= -floor))
     return fam
 
 
@@ -243,8 +265,13 @@ def commutator_family(f: GridFunction, b: GridFunction, kernel: KernelSpec,
                          f"{(f.domain.cells, len(scales))}")
     bf = GridFunction(f.domain, b0 * f.values)
     conv_bf = convolve_family(bf, kernel, scales)
-    # into conv_bf's buffer: the same floats, one (N, m) array fewer at the peak
-    return np.subtract(b0[:, None] * conv_f, conv_bf, out=conv_bf)
+    # into conv_bf, eight scales at a time: the same floats, no (N, m) temporary
+    tmp = np.empty((len(b0), 8), order="F")
+    for s in range(0, len(scales), 8):
+        t = tmp[:, :min(8, len(scales) - s)]
+        np.multiply(b0[:, None], conv_f[:, s:s + 8], out=t)
+        np.subtract(t, conv_bf[:, s:s + 8], out=conv_bf[:, s:s + 8])
+    return conv_bf
 
 
 def commutator_family_direct(f: GridFunction, b: GridFunction, kernel: KernelSpec,

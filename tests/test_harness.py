@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varharm
 from varharm import (Ball, Domain1D, GridFunction, RatioTable, SgnAtomResult, Weight,
                      battery_generate, cal_bmo_omega_norm, harness, lp_norm, make_atom,
                      parse_config, power_weight, run_experiment, sgn_atom)
@@ -215,6 +219,29 @@ def test_cli_output_that_cannot_be_written_exits_3(tmp_path, capsys, monkeypatch
     assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) == 3
     assert "cannot write results:" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["E8.csv"]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_cli_run_exits_quietly_when_stdout_closes_early(tmp_path, unbuffered):
+    # as under `varharm run ... | head -1`: the reader is gone before the summary
+    cfgfile = tmp_path / "fast.cfg"
+    cfgfile.write_text(FAST)
+    src = str(Path(varharm.__file__).parents[1])
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "varharm.cli", "run", "--config",
+                             str(cfgfile), "--out", str(tmp_path / "piped")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == b""
+    # the results are written as by a run whose stdout stays open
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "open")]) == 0
+    for name in ("E8.csv", "E8.json"):
+        assert (tmp_path / "piped" / name).is_file()
+    assert ((tmp_path / "piped" / "E8.csv").read_bytes()
+            == (tmp_path / "open" / "E8.csv").read_bytes())
 
 
 def test_run_summary_is_strict_json(tmp_path):

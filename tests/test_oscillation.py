@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from varharm import (Ball, Domain1D, GridFunction, ResolutionError, Weight,
                      WitnessPlacementError, bmo_nu_equivalence, bmo_nu_norm,
-                     cal_bmo_omega_norm, cube_domain_ranges, cube_oscillations,
-                     default_lattices, is_median, local_mean_oscillation,
-                     median, oscillation_witness, power_weight)
+                     cal_bmo_omega_norm, cube_domain_ranges, cube_measures,
+                     cube_oscillations, default_lattices, harness, is_median,
+                     local_mean_oscillation, median, oscillation_witness,
+                     parse_config, power_weight)
 
 
 def _cells_of(domain, left, right):
@@ -199,6 +200,7 @@ def _sweeps_per_range(b, nu, ranges, tau):
         v = b.values[s:e]
         dev = np.abs(v - (v[0] + (v - v[0]).mean()))
         assert cube_oscillations(b, [(s, e)]).tolist() == [dev.sum() * h]
+        assert cube_measures(nu, [(s, e)]).tolist() == [nu.measure(s, e)]
         assert bmo_nu_norm(b, nu, [(s, e)]) == max(0.0, dev.sum() * h / nu.measure(s, e))
         bmo_nu = max(bmo_nu, dev.sum() * h / nu.measure(s, e))
         k_cells = e - s
@@ -231,10 +233,31 @@ def test_range_sweeps_equal_per_range_loops(cells, all_intervals, tau):
         # a precomputed oscillation gives the same floats, for list and array ranges
         for rs in (ranges, np.array(ranges)):
             assert bmo_nu_norm(b, nu, rs, osc=cube_oscillations(b, rs)) == bmo_nu
+            assert bmo_nu_norm(b, nu, rs, measure=cube_measures(nu, rs)) == bmo_nu
         usable = [(s, e) for s, e in ranges if tau * (e - s) >= 1.0]
         rep = bmo_nu_equivalence(b, nu, ranges, tau=tau)
         assert rep.lhs == bmo_nu_norm(b, nu, usable)
         assert rep.rhs == rhs
+
+
+def test_e5_bmo_norms_from_shared_measures_equal_range_by_range_oracle():
+    # E5 at N = 768: 7 Bloom weights and 4 b's, each oscillation and each
+    # nu(Q) computed once and shared by the 28 norms
+    cfg = parse_config("experiment = E5\ncells = 768\n")
+    ctx = harness.RunContext(cfg)
+    harness._run_e5(ctx, harness.RatioTable("E5"))
+    d, ranges = ctx.domain, ctx._memo["ranges"]
+    bs = dict(harness._oscillatory_battery(d, 3, np.random.default_rng(cfg.seed))
+              + [("b=x", GridFunction(d, d.x()))])
+    norms = {key[1:]: v for key, v in ctx._memo.items() if key[0] == "bmo"}
+    assert len(bs) == 4 and len({key[:3] for key in norms}) == 7 and len(norms) == 28
+    # the recentred mean and nu(Q) taken on each slice on its own, as in
+    # _sweeps_per_range
+    osc = {bid: [np.abs(v - (v[0] + (v - v[0]).mean())).sum() * d.h
+                 for v in (b.values[s:e] for s, e in ranges)] for bid, b in bs.items()}
+    for (p, amu, alam, bid), got in norms.items():
+        nu = ctx._memo[("nu", p, amu, alam)]
+        assert got == max(o / nu.measure(s, e) for o, (s, e) in zip(osc[bid], ranges))
 
 
 def test_range_sweeps_over_no_ranges():
@@ -244,5 +267,6 @@ def test_range_sweeps_over_no_ranges():
     assert bmo_nu_norm(b, nu, []) == 0.0
     assert cube_oscillations(b, []).shape == (0,)
     assert bmo_nu_norm(b, nu, [], osc=cube_oscillations(b, [])) == 0.0
+    assert cube_measures(nu, []).shape == (0,)
     rep = bmo_nu_equivalence(b, nu, [])
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.degenerate

@@ -14,7 +14,7 @@ from varharm import (Ball, Domain1D, GridFunction, KernelSpec, ScaleFamily,
                      variation_operator)
 from varharm.grid import KERNEL_KINDS
 from varharm.harness import battery_generate
-from varharm.variation import (_NOISE_FLOOR, _turning_points,
+from varharm.variation import (_NOISE_FLOOR, _turns,
                                _variation_dp_batch, _variation_dp_full,
                                _zero_noise)
 
@@ -116,16 +116,32 @@ def _turning_point_rows(rng, m):
     ])
 
 
-def test_turning_points_keep_ends_and_first_entries_of_extrema():
+def _dp_input(rows):
+    """The (cells, values) that _variation_dp_batch keeps of each row."""
+    turn = _turns(np.ascontiguousarray(rows.T))
+    m = rows.shape[1]
+    cells = [[0, *(np.flatnonzero(t) + 1).tolist(), m - 1] for t in turn.T]
+    return cells, [r[c].tolist() for r, c in zip(rows, cells)]
+
+
+def test_dp_receives_ends_and_run_ends_of_extrema():
     rows = np.array([[0, 1, 1, 2, 1, 1, 1, 3],
                      [3, 1, 1, 1, 1, 1, 1, 1],
                      [0, 2, 2, 2, 2, 2, 2, 2],
                      [5, 5, 5, 5, 5, 5, 5, 5],
                      [0, 1, 2, 3, 4, 5, 6, 7],
-                     [0, 1, 0, 1, 0, 1, 0, 1]], dtype=float)
-    keep = _turning_points(rows.T)
-    assert [np.flatnonzero(r).tolist() for r in keep] == [
-        [0, 3, 4, 7], [0, 7], [0, 7], [0, 7], [0, 7], list(range(8))]
+                     [0, 1, 0, 1, 0, 1, 0, 1],
+                     [2, 2, 0, 0, 3, 3, 1, 1],
+                     [0, -0.0, 1, 1, 0, 0, -0.0, 0]], dtype=float)
+    cells, values = _dp_input(rows)
+    # a run that is an extremum is kept at its last entry, which equals its first
+    assert cells == [[0, 3, 6, 7], [0, 7], [0, 7], [0, 7], [0, 7], list(range(8)),
+                     [0, 3, 5, 7], [0, 3, 7]]
+    assert values == [[0, 2, 1, 3], [3, 1], [0, 2], [5, 5], [0, 7], [0, 1] * 4,
+                      [2, 0, 3, 1], [0, 1, 0]]
+    # a NaN or an infinity keeps every entry of its row
+    rows[[1, 4], [2, 5]] = np.nan, np.inf
+    assert _dp_input(rows)[0][1] == _dp_input(rows)[0][4] == list(range(8))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 37])
@@ -156,6 +172,58 @@ def test_variation_dp_batch_keeps_every_point_of_nonfinite_rows():
         got = _variation_dp_batch(a, 3.0)
         assert np.array_equal(got, _variation_dp_full(a, 3.0), equal_nan=True)
     assert np.isnan(got[:2]).all() and np.isfinite(got[4:]).all()
+
+
+def _rows_with_turns(rng, m, k, count=60):
+    """count rows of length m with exactly k turning points, ends included:
+    k alternating integer anchors joined by monotone runs that may tie them,
+    so that plateaus fall at the start, at the end and on the extrema, and
+    entries tie an end value; zeros carry either sign."""
+    rows = np.empty((count, m))
+    for r in rows:
+        gaps = rng.integers(1, 4, k - 1) * (-1) ** (np.arange(k - 1) + rng.integers(2))
+        anchors = np.cumsum(np.r_[rng.integers(-2, 3), gaps])
+        at = np.r_[0, np.sort(rng.choice(np.arange(1, m - 1), k - 2, replace=False)), m - 1]
+        for i in range(k - 1):
+            lo, hi = sorted(anchors[i:i + 2])
+            run = np.sort(rng.integers(lo, hi + 1, at[i + 1] - at[i] + 1))
+            r[at[i]:at[i + 1] + 1] = run if anchors[i] < anchors[i + 1] else run[::-1]
+            r[at[i]], r[at[i + 1]] = anchors[i], anchors[i + 1]
+    rows[rows == 0] = rng.choice([0.0, -0.0], int((rows == 0).sum()))
+    return rows
+
+
+@pytest.mark.parametrize("m, ks", [(2, [2]), (3, [2, 3]), (8, [2, 3, 4, 6, 8]),
+                                   (37, [2, 3, 4, 6, 11, 37])])
+def test_variation_dp_batch_equals_full_dp_per_turning_count(m, ks):
+    rng = np.random.default_rng(70 + m)
+    batch = []
+    for k in ks:
+        rows = _rows_with_turns(rng, m, k)
+        assert np.all(_turns(np.ascontiguousarray(rows.T)).sum(axis=0) == k - 2)
+        batch.append(0.37 * rows)  # keeps every tie, order and zero sign
+        for rho in (1.5, 2.0, 2.5, 3.0):
+            for a in (rows, batch[-1]):
+                assert np.array_equal(_variation_dp_batch(a, rho).view(np.int64),
+                                      _variation_dp_full(a, rho).view(np.int64))
+    # every count in one call, with rows that hold a NaN or an infinity
+    rows = np.concatenate(batch)
+    rows[1, 0], rows[2, :2], rows[7, m - 1], rows[9, m // 2] = np.nan, np.inf, -np.inf, np.inf
+    rng.shuffle(rows)
+    for rho in (1.5, 3.0):
+        with np.errstate(invalid="ignore"):
+            want = _variation_dp_full(rows, rho)
+        for a in (rows, np.asfortranarray(rows), rows.reshape(4, -1, m),
+                  np.asfortranarray(rows.reshape(4, -1, m))):
+            with np.errstate(invalid="ignore"):
+                got = _variation_dp_batch(a, rho)
+            assert got.shape == a.shape[:-1]
+            got = got.reshape(-1)
+            # a NaN, or inf - inf, gives NaN; a lone infinity gives inf
+            assert np.array_equal(np.isnan(got), np.isnan(want)) and np.isnan(got).sum() == 2
+            assert np.isinf(got).sum() == 2
+            ok = ~np.isnan(want)
+            assert np.array_equal(got[ok].view(np.int64), want[ok].view(np.int64))
 
 
 @pytest.mark.parametrize("cells", [768, 3072])
@@ -381,6 +449,23 @@ def test_noise_floor_zeroes_only_unresolved_commutators(cells, count, step):
     assert zeroed > 0
 
 
+@pytest.mark.parametrize("cells", [768, 3072])
+def test_noise_floor_zeroes_the_same_entries_in_c_and_f_order(cells):
+    d = Domain1D(-8.0, 8.0, cells)
+    fam = ScaleFamily.for_domain(d)
+    f = GridFunction.indicator(d, -1.0, 1.0)
+    b = GridFunction(d, np.sin(3.0 * d.x()))
+    k = KernelSpec("compact-bump")
+    for family in (convolve_family(f, k, fam), commutator_family(f, b, k, fam)):
+        floor = _NOISE_FLOOR * np.abs(family).max()
+        want = np.where(np.abs(family) <= floor, 0.0, family)
+        assert np.any((want == 0) & (family != 0))
+        for order in "CF":
+            got = _zero_noise(family.copy(order=order))
+            assert got.flags[f"{order}_CONTIGUOUS"]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_noise_floor_keeps_zero_families_and_constant_b_commutators():
     assert not np.any(_zero_noise(np.zeros((96, 7))))
     assert _zero_noise(np.zeros((0, 3))).shape == (0, 3)
@@ -405,7 +490,7 @@ def test_noise_floor_leaves_nonfinite_families_untouched():
         got = _zero_noise(a.copy())
         assert np.array_equal(got.view(np.int64), a.view(np.int64))  # bit for bit
         # the DP keeps every entry of the sequences that hold them
-        assert _turning_points(got.T)[[5, 17]].all()
+        assert _turns(got.T)[:, [5, 17]].all()
 
 
 def test_noise_floor_is_applied_before_the_dp():
@@ -421,7 +506,7 @@ def test_noise_floor_is_applied_before_the_dp():
     assert np.array_equal(commutator_variation(f, b, k, fam, 3.0).values,
                           _variation_dp_batch(_zero_noise(cf.copy()), 3.0))
     # the floor removes turning points: the noise it zeroes is not resolved
-    assert _turning_points(_zero_noise(convs.copy()).T).sum() < _turning_points(convs.T).sum()
+    assert _turns(_zero_noise(convs.copy()).T).sum() < _turns(convs.T).sum()
 
 
 @pytest.mark.parametrize("cells", [96, 768])
