@@ -71,10 +71,26 @@ class WeightConstants:
         }, indent=2, allow_nan=False)
 
 
+def _check_sums(w: Weight) -> None:
+    """Raise ValueError unless every sum the constants take of w stays finite.
+
+    Each cube sum of w is at most the sum of all cells (every term is >= 0),
+    so each cube average, and each value of a maximal function of w, is at
+    most that total too; a sum of such values over a cube of at most N cells
+    is then at most N times it. A margin of 2N covers the rounding.
+    """
+    with np.errstate(over="ignore"):
+        total = float(w.values.sum())
+    if not math.isfinite(2.0 * len(w.values) * total):
+        raise ValueError(f"weight values sum to {total:.6g}, too near the double "
+                         f"range for the sums over {len(w.values)} cells")
+
+
 def ap_constant(w: Weight, p: float) -> float:
     """[w]_{A_p} = sup_Q <w>_Q <w^{1-p'}>_Q^{p-1} over the lattice cube set."""
     if p <= 1:
         raise ValueError("A_p constant requires p > 1")
+    _check_sums(w)
     pprime = p / (p - 1.0)
     vals = w.values
     with np.errstate(over="ignore"):
@@ -96,9 +112,12 @@ def ap_constant(w: Weight, p: float) -> float:
 
 
 def a1_constant(w: Weight) -> float:
-    """[w]_{A_1} = sup of M w / w over the grid."""
+    """[w]_{A_1} = sup of M w / w over the grid; infinite where a weight too
+    close to 0 overflows the ratio."""
+    _check_sums(w)
     m = hl_maximal(w.base)
-    return float((m.values / w.values).max())
+    with np.errstate(over="ignore"):
+        return float((m.values / w.values).max())
 
 
 def ainf_constant(w: Weight) -> float:
@@ -119,6 +138,7 @@ def ainf_constant(w: Weight) -> float:
     lattices. The ratio sums are width-grouped row sums, which add as slice
     sums do.
     """
+    _check_sums(w)
     vals = w.values
     parts = [_level_starts([lat]) for lat in default_lattices(w.domain)]
     best = 0.0

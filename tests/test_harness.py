@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import varharm
@@ -476,6 +476,8 @@ def _weight_csv_text(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_weight_csv_text())
+@example("x,value\n0.25,1e308\n0.75,1e308")
+@example("x,value\n0.25,1e308\n0.75,0.041564281988291658")
 def test_cli_info_fuzzed_weight_file_exits_cleanly(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "w.csv"

@@ -134,6 +134,26 @@ def test_ap_overflowing_power_reports_infinity():
         assert ap_constant(w, 4.0) == math.inf
 
 
+def test_constants_reject_weights_whose_sums_leave_the_double_range():
+    d = Domain1D(0.0, 1.0, 2)
+    for vals in ([1e308, 1e308], [1e308, 0.041564281988291658]):
+        w = Weight(GridFunction(d, np.array(vals)))
+        for fn in (lambda w: ap_constant(w, 2.0), a1_constant, ainf_constant,
+                   compute_constants):
+            with pytest.raises(ValueError, match="double range"):
+                fn(w)
+    # a total below the bound still gives finite constants
+    c = compute_constants(Weight(GridFunction(d, np.array([1e307, 1.0]))))
+    assert all(math.isfinite(v) for v in [c.a1, c.ainf, *c.ap.values()])
+
+
+def test_a1_overflow_reports_infinity():
+    d = Domain1D(-8.0, 8.0, 96)
+    vals = np.full(d.cells, 1.0)
+    vals[40] = 5e-324
+    assert a1_constant(Weight(GridFunction(d, vals))) == math.inf
+
+
 def test_a1_constant():
     d = Domain1D(-8.0, 8.0, 96)
     assert a1_constant(Weight.constant(d, 5.0)) == pytest.approx(1.0, abs=1e-12)
