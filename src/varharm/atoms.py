@@ -24,6 +24,7 @@ from .oscillation import Ball
 from .weights import Weight
 
 _RESAMPLES = 8  # seeded candidates make_atom draws before it gives up
+_TOL = 1e-9  # relative slack of validate_atom's norm and moment checks
 
 
 class AtomConstructionError(RuntimeError):
@@ -84,7 +85,7 @@ class AtomReport:
     issues: list = field(default_factory=list)
 
 
-def validate_atom(atom: Atom, tol: float = 1e-9) -> AtomReport:
+def validate_atom(atom: Atom) -> AtomReport:
     issues = []
     d = atom.values.domain
     s, e = atom.ball.cell_range(d)
@@ -94,11 +95,11 @@ def validate_atom(atom: Atom, tol: float = 1e-9) -> AtomReport:
         issues.append("support leaks outside the ball")
     target = atom.norm_target()
     norm = atom.weighted_norm()
-    if norm > target * (1.0 + tol):
+    if norm > target * (1.0 + _TOL):
         issues.append(f"weighted norm {norm} exceeds target {target}")
     l1 = float(np.abs(atom.values.values).sum() * d.h)
     for j, res in enumerate(atom.moment_residuals()):
-        if res > tol * l1 * atom.ball.radius ** j:
+        if res > _TOL * l1 * atom.ball.radius ** j:
             issues.append(f"moment {j} residual {res} too large")
     return AtomReport(ok=not issues, issues=issues)
 

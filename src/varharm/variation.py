@@ -221,9 +221,6 @@ class VariationProfile:
 
     domain: Domain1D
     values: np.ndarray
-    rho: float
-    scale_family: ScaleFamily
-    kernel: KernelSpec
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -243,7 +240,7 @@ def variation_operator(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
         raise ValueError("variation exponent must exceed 1")
     convs = _zero_noise(convolve_family(f, kernel, scales))
     vals = _variation_dp_batch(convs, rho)
-    return VariationProfile(f.domain, vals, rho, scales, kernel)
+    return VariationProfile(f.domain, vals)
 
 
 def commutator_family(f: GridFunction, b: GridFunction, kernel: KernelSpec,
@@ -295,7 +292,7 @@ def commutator_variation(f: GridFunction, b: GridFunction, kernel: KernelSpec,
         raise ValueError("variation exponent must exceed 1")
     fam = _zero_noise(commutator_family(f, b, kernel, scales, conv_f))
     vals = _variation_dp_batch(fam, rho)
-    return VariationProfile(f.domain, vals, rho, scales, kernel)
+    return VariationProfile(f.domain, vals)
 
 
 def kernel_difference_variation(kernel: KernelSpec, xi: float, z: float, y: float,
