@@ -2,12 +2,13 @@
 
 Functions live on a uniform grid of cell midpoints and are identically
 zero outside their domain (compact support model). All convolutions use
-midpoint quadrature, evaluated on one cached rFFT plan at every grid size;
-scales below twice the grid spacing are rejected to keep aliasing under
-control. The plan carries a small workspace that the inverse transforms
-run through, a block of scales at a time, so a family allocates only its
-result; the workspace makes `convolve_family` not reentrant (one thread
-at a time per plan).
+midpoint quadrature, evaluated on one cached rFFT plan at every grid size,
+with transforms of the shortest length 2^a 3^b >= 2N - 1 (6144 at
+N = 3072); scales below twice the grid spacing are rejected to keep
+aliasing under control. The plan carries a small workspace that the
+inverse transforms run through, a block of scales at a time, so a family
+allocates only its result; the workspace makes `convolve_family` not
+reentrant (one thread at a time per plan).
 """
 
 from __future__ import annotations
@@ -232,19 +233,35 @@ def convolve(f: GridFunction, kernel: KernelSpec, t: float) -> GridFunction:
 
 
 def _kernel_samples(kernel: KernelSpec, scales: tuple, domain: Domain1D) -> np.ndarray:
-    """Row k holds phi_{t_k}(d h) for the 2N - 1 offsets d = -(N-1) .. N-1."""
+    """Row k holds phi_{t_k}(d h) for the 2N - 1 offsets d = -(N-1) .. N-1.
+
+    Each kernel is sampled at the N offsets d >= 0 and mirrored: every
+    profile is even to the bit, as (-d) h = -(d h) in floating point and
+    the profiles see x only through x * x or |x|."""
     n = domain.cells
-    diffs = np.arange(-(n - 1), n) * domain.h
-    return np.stack([eval_kernel_dilated(kernel, t, diffs) for t in scales])
+    diffs = np.arange(n) * domain.h
+    out = np.empty((len(scales), 2 * n - 1))
+    for row, t in zip(out, scales):
+        row[n - 1:] = eval_kernel_dilated(kernel, t, diffs)
+        row[:n - 1] = row[:n - 1:-1]
+    return out
 
 
 def _fft_length(cells: int) -> int:
-    """Smallest power of two >= 2N - 1: the circular wrap then misses the
-    N central outputs of the linear convolution."""
-    return 1 << (2 * cells - 2).bit_length()
+    """Smallest 2^a 3^b >= 2N - 1: the circular wrap then misses the N
+    central outputs of the linear convolution, and the transform runs in
+    radix-2 and radix-3 passes (6144 = 3 * 2^11 at N = 3072)."""
+    need = 2 * cells - 1
+    best = 1 << (need - 1).bit_length()
+    three = 3
+    while three < best:
+        # the smallest power of two 2^a with three * 2^a >= need
+        best = min(best, three << (-(-need // three) - 1).bit_length())
+        three *= 3
+    return best
 
 
-# bytes of real transform output per block of scales: 4 rows at N = 3072, 16
+# bytes of real transform output per block of scales: 5 rows at N = 3072, 21
 # at N = 768. The plan keeps its block buffers, so a call allocates (and the
 # OS faults in) only its (m, N) result, not two temporaries of the whole family
 _BLOCK_BYTES = 1 << 18

@@ -469,8 +469,8 @@ def _run_e5(ctx: RunContext, table: RatioTable) -> None:
                         # and phi_t * f on f only: the b's of one f share it
                         prof = ctx.once(("commutator", bid, fid), lambda: ctx.commutator(
                             f, b, ctx.latest(("conv", fid), ctx.convolve, f)))
-                        rhs = ((ap_mu * ap_lam) ** _strong_exponent(p)
-                               * bnorm * lp_norm(f, p, mu))
+                        f_norm = ctx.once(("lp", fid, p, amu), lp_norm, f, p, mu)
+                        rhs = (ap_mu * ap_lam) ** _strong_exponent(p) * bnorm * f_norm
                         add(lp_norm(prof, p, lam), rhs)
 
 

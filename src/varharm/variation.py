@@ -144,7 +144,7 @@ def _dp_short(rho: float, a0, a1, a2=None) -> np.ndarray:
     return np.maximum(d01, np.maximum(np.abs(a0 - a2) ** rho, d12)) ** (1.0 / rho)
 
 
-# sqrt(3k) eps for three FFTs of length 2^k, k <= 17; see _zero_noise
+# sqrt(3 * 17) eps for three FFTs of at most log2 L <= 17 passes; see _zero_noise
 _NOISE_FLOOR = np.sqrt(3 * 17) * np.finfo(float).eps
 
 
@@ -152,18 +152,19 @@ def _zero_noise(fam: np.ndarray) -> np.ndarray:
     """Zero, in place, the entries with |v| <= _NOISE_FLOOR * max|fam|, the
     FFT round-off of a convolution family; a non-finite max leaves fam as is.
 
-    Each entry h * irfft(spectrum_t * rfft(f)) passes three radix-2
-    transforms of length 2^k (kernel spectra, rfft of f, inverse), k <= 17
-    as a run's grid has at most 65,536 cells. Each of the k stages rounds
-    with relative error <= u = eps/2: O(k u) per transform in the worst case
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    Thm 24.2), sqrt(k) u rms for independent unbiased roundings (Schatzman,
-    SIAM J. Sci. Comput. 17 (1996)). Three transforms give sqrt(3k) u, spread
-    evenly over the outputs, so relative to max|fam|; twice that rms is the
-    floor, sqrt(51) eps ~= 1.6e-15. On the mixed battery |fft - direct| stays
-    below 3.7 eps * max (N = 3072, k = 13). Without the floor, this noise makes
-    strict local extrema where the exact family is zero or flat, and the
-    turning-point DP keeps them.
+    Each entry h * irfft(spectrum_t * rfft(f)) passes three transforms
+    (kernel spectra, rfft of f, inverse) of length L = 2^a 3^b <= 2^17, as a
+    run's grid has at most 65,536 cells. Each runs in a + b <= log2 L <= 17
+    radix-2 and radix-3 passes, and each pass rounds with relative error
+    O(u), u = eps/2: O(17 u) per transform in the worst case (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2),
+    sqrt(17) u rms for independent unbiased roundings (Schatzman, SIAM J.
+    Sci. Comput. 17 (1996)). Three transforms give sqrt(51) u, spread evenly
+    over the outputs, so relative to max|fam|; twice that rms is the floor,
+    sqrt(51) eps ~= 1.6e-15. On the mixed battery |fft - direct| stays
+    below 3.8 eps * max (N = 3072, L = 6144 = 3 * 2^11). Without the floor,
+    this noise makes strict local extrema where the exact family is zero or
+    flat, and the turning-point DP keeps them.
     """
     # no array of |v|: a float temporary of the family's size raises the
     # peak RSS of E1 and E2 at N = 3072 by 0.7 MB

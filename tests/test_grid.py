@@ -1,3 +1,4 @@
+import bisect
 import math
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from varharm import (Domain1D, GridFunction, KernelSpec, ResolutionError,
                      eval_kernel_dilated, lp_norm, power_weight, weak_l1_norm)
 from varharm import grid
 from varharm.grid import KERNEL_KINDS
+from varharm.harness import _MAX_FINEST_CELLS
 
 
 def test_domain_midpoints():
@@ -103,7 +105,8 @@ def test_convolve_linearity():
     assert np.max(np.abs(lhs.values - rhs)) < 1e-12
 
 
-# 2N - 1 just above 2^11 at 1100; 768 is the benchmark's small grid, 96 a coarse one
+# 1100 takes a 9 * 2^8 FFT length (2N - 1 = 2199 just above 2^11); 768 is the
+# benchmark's small grid, 96 a coarse one
 @pytest.mark.parametrize("cells", [3072, 1100, 768, 96])
 def test_convolve_family_fft_matches_direct_every_kernel(cells):
     d = Domain1D(-8.0, 8.0, cells)
@@ -118,6 +121,27 @@ def test_convolve_family_fft_matches_direct_every_kernel(cells):
         for col in range(3):
             scale = np.max(np.abs(a[:, col]))
             assert np.max(np.abs(a[:, col] - b[:, col])) < 1e-10 * scale
+
+
+def test_fft_length_is_the_smallest_2a3b_above_2n_minus_1():
+    smooth = sorted(2 ** a * 3 ** b for a in range(19) for b in range(12)
+                    if 2 ** a * 3 ** b <= 2 ** 18)
+    for cells in range(16, 4097, 2):
+        assert grid._fft_length(cells) == smooth[bisect.bisect_left(smooth, 2 * cells - 1)]
+    assert [grid._fft_length(n) for n in (3072, 768, 1100)] == [6144, 1536, 2304]
+    # the noise floor's log2 L <= 17 bound (variation._NOISE_FLOOR)
+    assert all(grid._fft_length(n) <= 2 ** 17 for n in range(2, _MAX_FINEST_CELLS + 1))
+
+
+@pytest.mark.parametrize("cells", [96, 768, 1100, 3072])
+def test_kernel_samples_mirror_the_nonnegative_offsets_bit_for_bit(cells):
+    d = Domain1D(-8.0, 8.0, cells)
+    diffs = np.arange(-(cells - 1), cells) * d.h
+    scales = (4.0, math.sqrt(8.0 * d.h), 2.0 * d.h)
+    for kind in KERNEL_KINDS:
+        k = KernelSpec(kind)
+        expect = np.stack([eval_kernel_dilated(k, t, diffs) for t in scales])
+        assert np.array_equal(grid._kernel_samples(k, scales, d), expect)
 
 
 def _block_rows(cells: int) -> int:
