@@ -144,15 +144,23 @@ def test_kernel_samples_mirror_the_nonnegative_offsets_bit_for_bit(cells):
         assert np.array_equal(grid._kernel_samples(k, scales, d), expect)
 
 
-def _block_rows(cells: int) -> int:
-    return grid._BLOCK_BYTES // (8 * grid._fft_length(cells))
+def _block_rows(length: int) -> int:
+    return grid._BLOCK_BYTES // (8 * length)
 
 
-# scale counts 1, rows - 1, rows, rows + 1 and the default family's
+def _block_counts(cells: int) -> list:
+    # rows - 1, rows, rows + 1 at the transform length, and at the power-of-two
+    # length 2^ceil(log2(2N - 1)), whose boundaries fall inside a single block
+    counts = {1}
+    for length in (grid._fft_length(cells), 1 << (2 * cells - 2).bit_length()):
+        rows = _block_rows(length)
+        counts.update((rows - 1, rows, rows + 1))
+    return sorted(counts) + [None]
+
+
+# scale counts around the block boundaries and the default family's
 @pytest.mark.parametrize("cells,count", [
-    (cells, count) for cells in (96, 768, 3072)
-    for count in (1, _block_rows(cells) - 1, _block_rows(cells),
-                  _block_rows(cells) + 1, None)])
+    (cells, count) for cells in (96, 768, 3072) for count in _block_counts(cells)])
 def test_convolve_family_blocks_equal_one_transform(cells, count):
     d = Domain1D(-8.0, 8.0, cells)
     fam = (ScaleFamily.for_domain(d) if count is None
