@@ -2,8 +2,8 @@
 identities on weighted spaces: operators, norms, sparse domination, and a
 batch experiment harness."""
 
-from .atoms import (Atom, AtomConstructionError, AtomReport, Ball,
-                    SgnAtomResult, make_atom, sgn_atom, validate_atom)
+from .atoms import (Atom, AtomConstructionError, AtomReport, Ball, make_atom,
+                    sgn_atom, validate_atom)
 from .grid import (Domain1D, GridFunction, KernelSpec, ResolutionError,
                    ScaleFamily, convolve, convolve_family, eval_kernel_dilated,
                    lp_norm, weak_l1_norm)

@@ -6,10 +6,11 @@ degree. Moment orthogonality is enforced in the plain Lebesgue inner
 product on the ball, using monomials centered at the ball center for
 conditioning (the spanned polynomial space is the same).
 
-Both builders also return the unnormalized shape and the positive factor
-that normalizes it: the shape depends on the ball (and the seed or b) only,
-the factor on (p, q, w) as well, so a positively homogeneous operator needs
-to see each shape once.
+Every atom is stored as its unnormalized shape and a positive factor, and
+its values are factor * shape: the shape depends on the ball (and the seed
+or b) only, the factor on (p, q, w) as well, so a positively homogeneous
+operator needs to see each shape once. The sign atom that tests the
+commutator is a (1, inf, 0)-atom like any other, and validate_atom checks it.
 """
 
 from __future__ import annotations
@@ -33,49 +34,53 @@ class AtomConstructionError(RuntimeError):
 
 @dataclass
 class Atom:
-    values: GridFunction
+    shape: GridFunction
     ball: Ball
     p: float
     q: float  # may be math.inf
     s: int
     weight: Weight
-    # set by make_atom: values = factor * shape, shape as projected
-    shape: GridFunction | None = None
-    factor: float = 1.0
+    factor: float = 1.0  # values = factor * shape
+
+    @property
+    def values(self) -> GridFunction:
+        return GridFunction(self.shape.domain, self.factor * self.shape.values)
+
+    @property
+    def degenerate(self) -> bool:
+        """The zero atom: its values vanish identically."""
+        return not np.any(self.values.values)
 
     def norm_target(self) -> float:
         """w(B)^{1/q - 1/p}; the normalization bound of the definition."""
-        d = self.values.domain
-        s, e = self.ball.cell_range(d)
+        s, e = self.ball.cell_range(self.shape.domain)
         wb = self.weight.measure(s, e)
         inv_q = 0.0 if math.isinf(self.q) else 1.0 / self.q
         return wb ** (inv_q - 1.0 / self.p)
 
     def weighted_norm(self) -> float:
-        d = self.values.domain
+        d = self.shape.domain
         s, e = self.ball.cell_range(d)
-        a = np.abs(self.values.values[s:e])
+        a = np.abs(self.factor * self.shape.values[s:e])
         if math.isinf(self.q):
             return float(a.max(initial=0.0))
         wv = self.weight.values[s:e]
         return float(((a ** self.q * wv).sum() * d.h) ** (1.0 / self.q))
 
     def normalized(self, p: float, w: Weight) -> "Atom":
-        """The atom of this shape for exponent p and weight w: values =
-        factor * shape with factor = norm_target() / weighted_norm() of the
-        unscaled shape, so that the weighted norm meets the target."""
-        atom = replace(self, values=GridFunction(self.shape.domain, self.shape.values.copy()),
-                       p=p, weight=w)
+        """The atom of this shape for exponent p and weight w: its factor is
+        norm_target() / weighted_norm() of the unscaled shape, so that the
+        weighted norm meets the target."""
+        atom = replace(self, p=p, weight=w, factor=1.0)
         atom.factor = atom.norm_target() / atom.weighted_norm()
-        atom.values.values *= atom.factor
         return atom
 
     def moment_residuals(self) -> np.ndarray:
         """|int a (x - x_B)^j dx| for j = 0..s."""
-        d = self.values.domain
+        d = self.shape.domain
         s, e = self.ball.cell_range(d)
         x = d.x()[s:e] - self.ball.center
-        a = self.values.values[s:e]
+        a = self.factor * self.shape.values[s:e]
         return np.array([abs((a * x ** j).sum() * d.h) for j in range(self.s + 1)])
 
 
@@ -87,17 +92,16 @@ class AtomReport:
 
 def validate_atom(atom: Atom) -> AtomReport:
     issues = []
-    d = atom.values.domain
+    d = atom.shape.domain
     s, e = atom.ball.cell_range(d)
-    outside = atom.values.values.copy()
-    outside[s:e] = 0.0
-    if np.any(outside != 0.0):
+    vals = atom.values.values
+    if np.any(vals[:s]) or np.any(vals[e:]):
         issues.append("support leaks outside the ball")
     target = atom.norm_target()
     norm = atom.weighted_norm()
     if norm > target * (1.0 + _TOL):
         issues.append(f"weighted norm {norm} exceeds target {target}")
-    l1 = float(np.abs(atom.values.values).sum() * d.h)
+    l1 = float(np.abs(vals).sum() * d.h)
     for j, res in enumerate(atom.moment_residuals()):
         if res > _TOL * l1 * atom.ball.radius ** j:
             issues.append(f"moment {j} residual {res} too large")
@@ -140,36 +144,25 @@ def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball, seed: int) -> A
             continue
         vals = np.zeros(d.cells)
         vals[cs:ce] = a
-        shape = GridFunction(d, vals)
-        return Atom(shape, ball, p, q, s, w, shape).normalized(p, w)
+        return Atom(GridFunction(d, vals), ball, p, q, s, w).normalized(p, w)
     raise AtomConstructionError(
         f"projection annihilated the sample {_RESAMPLES} times")
 
 
-@dataclass
-class SgnAtomResult:
-    values: GridFunction
-    degenerate: bool  # b constant on B up to its mean: a vanishes identically
-    shape: GridFunction  # (h - <h>_B) chi_B with h = sgn(b - <b>_B)
-    factor: float  # 1 / (2 w(B)); values equals factor * shape to a few ulp
-
-
-def sgn_atom(b: GridFunction, ball: Ball, w: Weight) -> SgnAtomResult:
-    """a = (1 / (2 w(B))) (sgn(b - <b>_B) - <sgn(b - <b>_B)>_B) chi_B.
+def sgn_atom(b: GridFunction, ball: Ball, w: Weight) -> Atom:
+    """The (1, inf, 0)-atom a = (1 / (2 w(B))) (h - <h>_B) chi_B with
+    h = sgn(b - <b>_B).
 
     Guarantees supp a in B, |a| <= w(B)^{-1} and int_B a = 0; uses the
-    sgn(0) = 0 convention, so a constant b yields the flagged zero atom.
+    sgn(0) = 0 convention, so a constant b yields the degenerate zero atom.
     The shape depends on (b, ball) only and the factor on (ball, w) only.
     """
     d = b.domain
     s, e = ball.cell_range(d)
-    bb = b.values[s:e]
     # recentred mean: constant b gives exact zeros, hence sgn(0) = 0
-    hvals = np.sign(_recentred(bb))
-    wb = w.measure(s, e)
+    hvals = np.sign(_recentred(b.values[s:e]))
     hvals -= hvals.mean()
-    av = hvals / (2.0 * wb)
-    shape, vals = np.zeros(d.cells), np.zeros(d.cells)
-    shape[s:e], vals[s:e] = hvals, av
-    return SgnAtomResult(GridFunction(d, vals), not np.any(av),
-                         GridFunction(d, shape), 1.0 / (2.0 * wb))
+    shape = np.zeros(d.cells)
+    shape[s:e] = hvals
+    return Atom(GridFunction(d, shape), ball, 1.0, math.inf, 0, w,
+                1.0 / (2.0 * w.measure(s, e)))

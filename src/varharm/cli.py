@@ -146,8 +146,7 @@ def _cmd_check(_args) -> int:
 
 def _cmd_info(args) -> int:
     try:
-        gf = GridFunction.read_csv(args.weights)
-        w = Weight(gf)
+        w = Weight.read_csv(args.weights)
     except (OSError, ValueError) as exc:
         print(f"cannot load weight: {exc}", file=sys.stderr)
         return 3

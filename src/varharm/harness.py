@@ -270,8 +270,8 @@ class RatioTable:
         return [r.ratio for r in self.rows if math.isfinite(r.ratio)]
 
     def n_failures(self) -> int:
-        return sum(1 for r in self.rows
-                   if r.flag.startswith(("failure", "zero-denominator")))
+        return sum(1 for r in self.rows if r.flag.startswith(
+            ("failure", "zero-denominator", "denominator-zero")))
 
     def write_csv(self, path) -> None:
         keys = self.param_keys
@@ -353,15 +353,14 @@ class RunContext:
         return self.once(("weight", a), power_weight, a, self.domain)
 
     def variation(self, f) -> GridFunction:
-        return variation_operator(f, self.kernel, self.scales, self.cfg.rho).grid_function()
+        return variation_operator(f, self.kernel, self.scales, self.cfg.rho)
 
     def convolve(self, f) -> np.ndarray:
         """The family phi_t * f, for commutators of several b's with one f."""
         return convolve_family(f, self.kernel, self.scales)
 
     def commutator(self, f, b, conv_f=None) -> GridFunction:
-        return commutator_variation(f, b, self.kernel, self.scales, self.cfg.rho,
-                                    conv_f).grid_function()
+        return commutator_variation(f, b, self.kernel, self.scales, self.cfg.rho, conv_f)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,11 @@ class DyadicLattice:
 
     domain: Domain1D
     shift_index: int  # 0, 1 or 2, shift = shift_index / 3 of the root length
-    depth: int
+
+    @property
+    def depth(self) -> int:
+        """The finest level; the grid fixes it, see max_aligned_depth."""
+        return max_aligned_depth(self.domain)
 
     @property
     def shift(self) -> float:
@@ -134,11 +138,10 @@ def max_aligned_depth(domain: Domain1D) -> int:
 def default_lattices(domain: Domain1D) -> list[DyadicLattice]:
     """The three shifted lattices over an enlarged root containing the domain,
     at the finest depth whose cube boundaries stay on cell boundaries."""
-    depth = max_aligned_depth(domain)
-    if depth == 0:
+    if max_aligned_depth(domain) == 0:
         raise ValueError(f"3N = {3 * domain.cells} is odd, so no dyadic lattice "
                          "level aligns with the grid")
-    return [DyadicLattice(domain, k, depth) for k in range(3)]
+    return [DyadicLattice(domain, k) for k in range(3)]
 
 
 def _level_starts(lattices) -> list[tuple[np.ndarray, int]]:

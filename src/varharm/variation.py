@@ -15,13 +15,12 @@ FFT round-off of their family before the DP (_zero_noise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import (Domain1D, GridFunction, KernelSpec, ScaleFamily,
-                   convolve_family, eval_kernel_dilated)
+from .grid import (GridFunction, KernelSpec, ScaleFamily, convolve_family,
+                   eval_kernel_dilated)
 
 
 def _variation_dp_full(a: np.ndarray, rho: float) -> np.ndarray:
@@ -216,17 +215,11 @@ def seq_variation_bruteforce(a, rho: float) -> float:
     return float(totals.max()) ** (1.0 / rho)
 
 
-@dataclass
-class VariationProfile:
+class VariationProfile(GridFunction):
     """Pointwise rho-variation of a convolution family on a grid."""
 
-    domain: Domain1D
-    values: np.ndarray
-
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.domain.cells,):
-            raise ValueError("profile length must equal the cell count")
+        super().__post_init__()
         if np.any(self.values < 0):
             raise ValueError("variation values must be nonnegative")
 

@@ -1,7 +1,8 @@
 """Muckenhoupt weight classes and their constants on the grid.
 
-All suprema over cubes are realized over the three shifted dyadic lattices
-of the weight's grid, with cubes clipped to the computational domain.
+A weight is a `GridFunction` whose values are all strictly positive. All
+suprema over cubes are realized over the three shifted dyadic lattices of
+the weight's grid, with cubes clipped to the computational domain.
 """
 
 from __future__ import annotations
@@ -17,23 +18,13 @@ from .lattice import (_lattice_maximal, _level_starts, _runs, _width_groups,
                       cube_domain_ranges, default_lattices, hl_maximal)
 
 
-@dataclass
-class Weight:
-    """Strictly positive grid function."""
-
-    base: GridFunction
+class Weight(GridFunction):
+    """Grid function with finite, strictly positive values."""
 
     def __post_init__(self):
-        if np.any(self.base.values <= 0):
+        super().__post_init__()
+        if np.any(self.values <= 0):
             raise ValueError("weight values must be strictly positive")
-
-    @property
-    def domain(self) -> Domain1D:
-        return self.base.domain
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.base.values
 
     def measure(self, start: int, stop: int) -> float:
         """w([start, stop)) = h * sum of samples over the cell range."""
@@ -41,7 +32,7 @@ class Weight:
 
     @classmethod
     def constant(cls, domain: Domain1D, c: float = 1.0) -> "Weight":
-        return cls(GridFunction(domain, np.full(domain.cells, float(c))))
+        return cls(domain, np.full(domain.cells, float(c)))
 
 
 @dataclass
@@ -115,7 +106,7 @@ def a1_constant(w: Weight) -> float:
     """[w]_{A_1} = sup of M w / w over the grid; infinite where a weight too
     close to 0 overflows the ratio."""
     _check_sums(w)
-    m = hl_maximal(w.base)
+    m = hl_maximal(w)
     with np.errstate(over="ignore"):
         return float((m.values / w.values).max())
 
@@ -170,7 +161,7 @@ def bloom_weight(mu: Weight, lam: Weight, p: float) -> Weight:
     if mu.domain != lam.domain:
         raise ValueError("weights must share a domain")
     vals = (mu.values / lam.values) ** (1.0 / p)
-    return Weight(GridFunction(mu.domain, vals))
+    return Weight(mu.domain, vals)
 
 
 def power_weight(a: float, domain: Domain1D, floor: float | None = None) -> Weight:
@@ -180,4 +171,4 @@ def power_weight(a: float, domain: Domain1D, floor: float | None = None) -> Weig
     if floor <= 0:
         raise ValueError("floor must be positive")
     vals = np.maximum(np.abs(domain.x()), floor) ** a
-    return Weight(GridFunction(domain, vals))
+    return Weight(domain, vals)

@@ -5,6 +5,7 @@ import pytest
 
 from varharm import (Atom, Ball, Domain1D, GridFunction, Weight, make_atom,
                      power_weight, sgn_atom, validate_atom)
+from varharm.harness import _oscillatory_battery
 
 
 def test_manual_sign_atom_validates():
@@ -103,3 +104,24 @@ def test_sgn_atom_constant_b_degenerate():
     res = sgn_atom(b, Ball(0.0, 1.0), w)
     assert res.degenerate
     assert not np.any(res.values.values)
+
+
+@pytest.mark.parametrize("cells", [96, 768])
+def test_sgn_atoms_are_valid_atoms(cells):
+    # E7's four functions b, b = x and a constant b; the last ball is clipped
+    # by the domain edge
+    # (b, whether its atoms are degenerate, or None where that varies)
+    d = Domain1D(-8.0, 8.0, cells)
+    bs = [(b, None) for _, b in _oscillatory_battery(d, 4, np.random.default_rng(20240901))]
+    bs += [(GridFunction(d, d.x()), False), (GridFunction(d, np.full(cells, 0.1)), True)]
+    balls = [Ball(0.0, 1.0), Ball(-2.0, 0.5), Ball(1.0, 2.0), Ball(7.9, 0.3)]
+    weights = [Weight.constant(d), power_weight(-0.3, d), power_weight(0.6, d)]
+    for b, degenerate in bs:
+        for ball in balls:
+            for w in weights:
+                atom = sgn_atom(b, ball, w)
+                assert (atom.p, atom.q, atom.s) == (1.0, math.inf, 0)
+                rep = validate_atom(atom)
+                assert rep.ok, rep.issues
+                assert atom.degenerate == (not np.any(atom.shape.values))
+                assert degenerate in (None, atom.degenerate)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import varharm
-from varharm import (Ball, Domain1D, GridFunction, RatioTable, SgnAtomResult, Weight,
+from varharm import (Ball, Domain1D, GridFunction, RatioTable, Weight,
                      battery_generate, cal_bmo_omega_norm, harness, lp_norm, make_atom,
                      parse_config, power_weight, run_experiment, sgn_atom)
 from varharm import cli
@@ -100,6 +101,23 @@ def test_ratio_table_sentinels_and_failures():
     assert math.isnan(rows["d"].ratio) and rows["d"].flag == "failure:boom"
     assert t.n_failures() == 2
     assert t.finite_ratios() == [0.0, 0.5]
+
+
+def test_ratio_table_counts_points_without_a_sparse_bound_as_failures():
+    t = RatioTable("E4")
+    t.add("f", {}, 3.0, 1.0, flag="denominator-zero:2")
+    t.add("g", {}, 3.0, 1.0)
+    assert t.n_failures() == 1
+
+
+def test_e4_points_without_a_sparse_bound_fail_the_run(tmp_path, monkeypatch):
+    real = harness.domination_check
+    monkeypatch.setattr(harness, "domination_check",
+                        lambda *args: dataclasses.replace(real(*args), n_failures=2))
+    cfgfile = tmp_path / "e4.cfg"
+    cfgfile.write_text("experiment = E4\ncells = 96\n")
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert json.loads((tmp_path / "E4.json").read_text())["n_failures"] == 12
 
 
 def test_ratio_table_csv_layout(tmp_path):
@@ -412,7 +430,7 @@ def test_cli_run_fuzzed_config_exits_cleanly(text):
 def test_cli_info(tmp_path, capsys):
     d = Domain1D(-8.0, 8.0, 96)
     path = tmp_path / "w.csv"
-    power_weight(0.3, d).base.to_csv(path)
+    power_weight(0.3, d).to_csv(path)
     assert cli_main(["info", "--weights", str(path)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["a1"] >= 1.0
@@ -506,13 +524,13 @@ def test_failure_flag_with_commas_is_quoted(tmp_path):
 
 
 def _checked_atom(atom, w, ball):
-    """The atom, after checking that factor * shape gives its values to a few
-    ulp, and that its values are the floats its builder always gave."""
-    v, scaled = atom.values.values, atom.factor * atom.shape.values
-    assert np.all(np.abs(scaled - v) <= 4 * np.spacing(np.abs(v)))
-    if isinstance(atom, SgnAtomResult):
-        scaled = atom.shape.values / (2.0 * w.measure(*ball.cell_range(w.domain)))
-    assert np.array_equal(v, scaled)
+    """The atom, after checking that its values are factor * shape and, for the
+    sign atom, its formula shape / (2 w(B)) to a few ulp."""
+    v = atom.values.values
+    assert np.array_equal(v, atom.factor * atom.shape.values)
+    if math.isinf(atom.q):
+        direct = atom.shape.values / (2.0 * w.measure(*ball.cell_range(w.domain)))
+        assert np.all(np.abs(direct - v) <= 4 * np.spacing(np.abs(v)))
     return atom
 
 

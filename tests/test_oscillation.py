@@ -223,7 +223,7 @@ def test_range_sweeps_equal_per_range_loops(cells, all_intervals, tau):
     else:
         ranges = cube_domain_ranges(default_lattices(d))
     rng = np.random.default_rng(cells)
-    nu = Weight(GridFunction(d, np.exp(rng.standard_normal(cells))))
+    nu = Weight(d, np.exp(rng.standard_normal(cells)))
     x = d.x()
     for b in (GridFunction(d, rng.standard_normal(cells)),
               GridFunction(d, np.sin(3.0 * x) + 0.1 * x),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varharm import (Ball, Domain1D, GridFunction, KernelSpec, ScaleFamily,
-                     commutator_family, commutator_family_direct,
+                     VariationProfile, commutator_family, commutator_family_direct,
                      commutator_variation, convolve_family,
                      kernel_difference_variation, make_atom, power_weight,
                      seq_variation_bruteforce, seq_variation_dp, sgn_atom,
@@ -271,6 +271,22 @@ def test_seq_variation_pointwise_bound():
         a = rng.standard_normal(10)
         v = seq_variation_dp(a, 3.0)
         assert np.max(np.abs(a)) <= np.min(np.abs(a)) + v + 1e-12
+
+
+def test_variation_profiles_are_nonnegative_grid_functions():
+    d = Domain1D(-8.0, 8.0, 96)
+    f = GridFunction.indicator(d, -1.0, 1.0)
+    b = GridFunction(d, d.x())
+    kernel, scales = KernelSpec("gaussian-heat"), ScaleFamily.for_domain(d, count=8)
+    for prof in (variation_operator(f, kernel, scales, 3.0),
+                 commutator_variation(f, b, kernel, scales, 3.0)):
+        assert isinstance(prof, VariationProfile) and isinstance(prof, GridFunction)
+        assert np.any(prof.values)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            VariationProfile(d, np.full(d.cells, bad))
+    with pytest.raises(ValueError, match="nonnegative"):
+        VariationProfile(d, np.full(d.cells, -1.0))
 
 
 def test_variation_operator_zero_and_constant():

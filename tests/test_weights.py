@@ -14,7 +14,7 @@ from varharm.lattice import _level_starts, _runs, _width_groups
 def _random_weight(domain, seed, spread=1.0):
     rng = np.random.default_rng(seed)
     vals = np.exp(spread * rng.standard_normal(domain.cells))
-    return Weight(GridFunction(domain, vals))
+    return Weight(domain, vals)
 
 
 def _ap_naive_all_intervals(w, p):
@@ -36,7 +36,22 @@ def _ap_naive_all_intervals(w, p):
 def test_weight_requires_positivity():
     d = Domain1D(0.0, 1.0, 4)
     with pytest.raises(ValueError):
-        Weight(GridFunction(d, np.array([1.0, 0.0, 1.0, 1.0])))
+        Weight(d, np.array([1.0, 0.0, 1.0, 1.0]))
+
+
+def test_weight_is_a_positive_grid_function(tmp_path):
+    d = Domain1D(0.0, 1.0, 4)
+    for w in (Weight.constant(d), power_weight(0.3, d),
+              bloom_weight(power_weight(0.3, d), Weight.constant(d), 2.0)):
+        assert isinstance(w, Weight) and isinstance(w, GridFunction)
+    power_weight(0.3, d).to_csv(tmp_path / "w.csv")
+    assert isinstance(Weight.read_csv(tmp_path / "w.csv"), Weight)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Weight(d, np.array([1.0, bad, 1.0, 1.0]))
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="strictly positive"):
+            Weight(d, np.array([1.0, bad, 1.0, 1.0]))
 
 
 def test_weight_measure():
@@ -57,7 +72,7 @@ def test_ap_constant_of_constant_weight():
 def test_ap_scale_invariance():
     d = Domain1D(-8.0, 8.0, 96)
     w = _random_weight(d, 21)
-    scaled = Weight(GridFunction(d, 7.0 * w.values))
+    scaled = Weight(d, 7.0 * w.values)
     for p in (1.5, 2.0):
         assert ap_constant(scaled, p) == pytest.approx(ap_constant(w, p),
                                                        rel=1e-12)
@@ -119,7 +134,7 @@ def test_ap_overflow_reports_infinity():
     d = Domain1D(-1.0, 1.0, 48)
     vals = np.full(d.cells, 1.0)
     vals[0] = 1e-300
-    w = Weight(GridFunction(d, vals))
+    w = Weight(d, vals)
     assert ap_constant(w, 1.0 + 1e-9) == math.inf
 
 
@@ -129,7 +144,7 @@ def test_ap_overflowing_power_reports_infinity():
     d = Domain1D(-8.0, 8.0, 96)
     vals = np.full(d.cells, 1.0)
     vals[40] = 5e-324
-    w = Weight(GridFunction(d, vals))
+    w = Weight(d, vals)
     with np.errstate(over="ignore"):
         assert ap_constant(w, 4.0) == math.inf
 
@@ -137,13 +152,13 @@ def test_ap_overflowing_power_reports_infinity():
 def test_constants_reject_weights_whose_sums_leave_the_double_range():
     d = Domain1D(0.0, 1.0, 2)
     for vals in ([1e308, 1e308], [1e308, 0.041564281988291658]):
-        w = Weight(GridFunction(d, np.array(vals)))
+        w = Weight(d, np.array(vals))
         for fn in (lambda w: ap_constant(w, 2.0), a1_constant, ainf_constant,
                    compute_constants):
             with pytest.raises(ValueError, match="double range"):
                 fn(w)
     # a total below the bound still gives finite constants
-    c = compute_constants(Weight(GridFunction(d, np.array([1e307, 1.0]))))
+    c = compute_constants(Weight(d, np.array([1e307, 1.0])))
     assert all(math.isfinite(v) for v in [c.a1, c.ainf, *c.ap.values()])
 
 
@@ -151,7 +166,7 @@ def test_a1_overflow_reports_infinity():
     d = Domain1D(-8.0, 8.0, 96)
     vals = np.full(d.cells, 1.0)
     vals[40] = 5e-324
-    assert a1_constant(Weight(GridFunction(d, vals))) == math.inf
+    assert a1_constant(Weight(d, vals)) == math.inf
 
 
 def test_a1_constant():
@@ -160,7 +175,7 @@ def test_a1_constant():
     w = _random_weight(d, 24)
     assert a1_constant(w) >= 1.0 - 1e-12
     # scale invariance
-    scaled = Weight(GridFunction(d, 3.0 * w.values))
+    scaled = Weight(d, 3.0 * w.values)
     assert a1_constant(scaled) == pytest.approx(a1_constant(w), rel=1e-12)
 
 
