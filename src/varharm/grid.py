@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,6 +69,15 @@ class GridFunction:
             raise ValueError("values length must equal the cell count")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
+
+    @cached_property
+    def key(self) -> tuple:
+        """(domain, 16-byte blake2b digest of the values): equal for equal samples
+        on one grid. It is taken once per object, so it holds only while the
+        values are not written after construction."""
+        import hashlib  # not at import time: numpy.random loads it in a run anyway
+        return self.domain, hashlib.blake2b(np.ascontiguousarray(self.values).data,
+                                            digest_size=16).digest()
 
     @classmethod
     def indicator(cls, domain: Domain1D, a: float, b: float) -> "GridFunction":

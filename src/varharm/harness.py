@@ -15,7 +15,7 @@ import datetime
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +34,7 @@ EXPERIMENT_IDS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
 _RHO_MAX = 64.0  # above it |difference|^rho underflows: E7 writes lhs = 0 at rho = 128
 _MAX_FINEST_CELLS = 65536  # the finest grid, cells * 2**refine, a run may allocate
 _MAX_ENTRIES = 1 << 22  # floats (32 MB) in one battery or scale stack on the finest grid
+_UNSET = object()  # no value stored yet, in RunContext.once
 
 
 class ConfigError(ValueError):
@@ -315,8 +316,8 @@ class RatioTable:
 
 class RunContext:
     """What the cases of one run share: the domain, scales and kernel, plus the
-    function battery and the `once` values, each built on first use. The cube
-    sweeps derive the lattices from the domain themselves."""
+    function battery and the `once` values, built on first use and keyed by
+    the call that builds them, so equal inputs share one value."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -324,25 +325,17 @@ class RunContext:
         self.scales = cfg.scales()
         self.kernel = KernelSpec(cfg.kernel)
         self._memo = {}
-        self._latest = None
+        self._conv = (None, None)  # (f.key, phi_t * f) of the last commutator's f
 
-    def once(self, key, fn, *args):
-        """fn(*args) on the first call for key, the stored value after. A call
-        that raises stores nothing, so each case that needs the value retries
-        it and records its own failure row."""
-        if key not in self._memo:
-            self._memo[key] = fn(*args)
-        return self._memo[key]
-
-    def latest(self, key, fn, *args):
-        """fn(*args) for key, kept until a call with another key replaces it.
-
-        For a value that only consecutive cases share: one is held at a time,
-        and the old one is freed only once its successor is built, so its
-        pages are reused rather than handed back to the OS and faulted in again."""
-        if self._latest is None or self._latest[0] != key:
-            self._latest = (key, fn(*args))
-        return self._latest[1]
+    def once(self, fn, *args):
+        """fn(*args) on the first call, the stored value after, keyed by fn and
+        each argument, a GridFunction by its `key`. A call that raises stores
+        nothing: each case that needs it retries it and records its own failure."""
+        key = (fn, *[a.key if isinstance(a, GridFunction) else a for a in args])
+        value = self._memo.get(key, _UNSET)  # a hit hashes the key once
+        if value is _UNSET:
+            value = self._memo[key] = fn(*args)
+        return value
 
     @cached_property
     def funcs(self) -> list:
@@ -350,17 +343,36 @@ class RunContext:
                                 self.domain, self.cfg.function_count)
 
     def weight(self, a: float) -> Weight:
-        return self.once(("weight", a), power_weight, a, self.domain)
+        return self.once(power_weight, a, self.domain)
 
     def variation(self, f) -> GridFunction:
-        return variation_operator(f, self.kernel, self.scales, self.cfg.rho)
+        return self.once(variation_operator, f, self.kernel, self.scales, self.cfg.rho)
 
-    def convolve(self, f) -> np.ndarray:
-        """The family phi_t * f, for commutators of several b's with one f."""
-        return convolve_family(f, self.kernel, self.scales)
+    def commutator(self, f, b) -> GridFunction:
+        return self.once(self._commutator, f, b, self.kernel, self.scales, self.cfg.rho)
 
-    def commutator(self, f, b, conv_f=None) -> GridFunction:
-        return commutator_variation(f, b, self.kernel, self.scales, self.cfg.rho, conv_f)
+    def _commutator(self, f, b, kernel, scales, rho) -> GridFunction:
+        # the b's of one f come in a row and share phi_t * f; the old family is
+        # freed only once its successor is built, so its pages are reused
+        if self._conv[0] != f.key:
+            self._conv = (f.key, convolve_family(f, kernel, scales))
+        return commutator_variation(f, b, kernel, scales, rho, self._conv[1])
+
+    def bmo(self, b, nu) -> float:
+        """bmo_nu_norm(b, nu) over the lattice ranges, from one oscillation
+        array per b and one measure array per nu."""
+        return self.once(self._bmo, b, nu)
+
+    def _bmo(self, b, nu) -> float:
+        return bmo_nu_norm(b, nu, self._ranges, self.once(self._swept, cube_oscillations, b),
+                           self.once(self._swept, cube_measures, nu))
+
+    def _swept(self, per_range, g) -> np.ndarray:
+        return per_range(g, self._ranges)
+
+    @cached_property
+    def _ranges(self) -> np.ndarray:
+        return cube_domain_ranges(default_lattices(self.domain))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +400,8 @@ def _run_e1(ctx: RunContext, table: RatioTable) -> None:
             for fid, f in ctx.funcs:
                 with table.case(f"{fid}|p={p}|a={a:+g}", {"p": p, "power": a}) as add:
                     w = ctx.weight(a)
-                    apc = ctx.once(("ap", p, a), ap_constant, w, p)
-                    lhs = lp_norm(ctx.once(("profile", fid), ctx.variation, f), p, w)
+                    apc = ctx.once(ap_constant, w, p)
+                    lhs = lp_norm(ctx.variation(f), p, w)
                     rhs = apc ** _strong_exponent(p) * lp_norm(f, p, w)
                     add(lhs, rhs, ap=apc)
 
@@ -399,9 +411,9 @@ def _run_e2(ctx: RunContext, table: RatioTable) -> None:
         for fid, f in ctx.funcs:
             with table.case(f"{fid}|a={a:+g}", {"power": a}) as add:
                 w = ctx.weight(a)
-                a1c = ctx.once(("a1", a), a1_constant, w)
-                ainfc = ctx.once(("ainf", a), ainf_constant, w)
-                lhs = weak_l1_norm(ctx.once(("profile", fid), ctx.variation, f), w)
+                a1c = ctx.once(a1_constant, w)
+                ainfc = ctx.once(ainf_constant, w)
+                lhs = weak_l1_norm(ctx.variation(f), w)
                 rhs = a1c * math.log(math.e + ainfc) * lp_norm(f, 1.0, w)
                 add(lhs, rhs, a1=a1c, ainf=ainfc)
 
@@ -410,8 +422,8 @@ def _run_e3(ctx: RunContext, table: RatioTable) -> None:
     cfg, d = ctx.cfg, ctx.domain
     radii = [2.0 ** e for e in (-4, -3, -2, -1, 0, 1, 2)]
     ps = [p for p in cfg.p_list if 0.5 < p <= 1.0] or [0.7, 1.0]
-    weights = [("lebesgue", Weight.constant(d)),
-               ("pow+0.3", power_weight(0.3, d))]
+    lebesgue = Weight.constant(d)
+    weights = [("lebesgue", lebesgue), ("pow+0.3", power_weight(0.3, d))]
     rng = np.random.default_rng(cfg.seed)
     for i, r in enumerate(radii):
         center = float((-1.0 + 2.0 * rng.random()) * min(1.0, 8.0 - r))
@@ -422,9 +434,9 @@ def _run_e3(ctx: RunContext, table: RatioTable) -> None:
                 with table.case(case, {"radius": r, "p": p}) as add:
                     # the shape depends on the radius only: the p's and weights share
                     # it, and each case normalizes it for its own (p, w)
-                    atom = ctx.latest(("atom", i), make_atom, p, 2.0, 0, w, ball,
-                                      cfg.seed + i).normalized(p, w)
-                    prof = ctx.once(("profile", i), ctx.variation, atom.shape)
+                    atom = ctx.once(make_atom, ps[0], 2.0, 0, lebesgue, ball,
+                                    cfg.seed + i).normalized(p, w)
+                    prof = ctx.variation(atom.shape)
                     add(lp_norm(_scaled(atom.factor, prof), p, w), 1.0)
 
 
@@ -449,26 +461,17 @@ def _run_e5(ctx: RunContext, table: RatioTable) -> None:
         for amu, alam in [(-0.3, 0.3), (0.0, 0.3), (-0.3, 0.0)]:
             if not (-1.0 < amu < p - 1.0 and -1.0 < alam < p - 1.0):
                 continue
-            pair = (p, amu, alam)
             for fid, f in funcs:
                 for bid, b in bs:
                     case = f"{bid}|{fid}|p={p}|mu={amu:+g}|lam={alam:+g}"
                     with table.case(case, {"p": p, "mu_pow": amu, "lam_pow": alam}) as add:
                         mu, lam = ctx.weight(amu), ctx.weight(alam)
-                        ap_mu = ctx.once(("ap", p, amu), ap_constant, mu, p)
-                        ap_lam = ctx.once(("ap", p, alam), ap_constant, lam, p)
-                        nu = ctx.once(("nu", *pair), bloom_weight, mu, lam, p)
-                        ranges = ctx.once("ranges", lambda: cube_domain_ranges(
-                            default_lattices(d)))
-                        osc = ctx.once(("osc", bid), cube_oscillations, b, ranges)
-                        measure = ctx.once(("measure", *pair), cube_measures, nu, ranges)
-                        bnorm = ctx.once(("bmo", *pair, bid), bmo_nu_norm, b, nu, ranges,
-                                         osc, measure)
-                        # the profile depends on (b, f) only, not on p or the weights,
-                        # and phi_t * f on f only: the b's of one f share it
-                        prof = ctx.once(("commutator", bid, fid), lambda: ctx.commutator(
-                            f, b, ctx.latest(("conv", fid), ctx.convolve, f)))
-                        f_norm = ctx.once(("lp", fid, p, amu), lp_norm, f, p, mu)
+                        ap_mu = ctx.once(ap_constant, mu, p)
+                        ap_lam = ctx.once(ap_constant, lam, p)
+                        bnorm = ctx.bmo(b, ctx.once(bloom_weight, mu, lam, p))
+                        # the profile depends on (f, b) only, not on p or the weights
+                        prof = ctx.commutator(f, b)
+                        f_norm = ctx.once(lp_norm, f, p, mu)
                         rhs = (ap_mu * ap_lam) ** _strong_exponent(p) * bnorm * f_norm
                         add(lp_norm(prof, p, lam), rhs)
 
@@ -513,39 +516,27 @@ def _run_e7(ctx: RunContext, table: RatioTable) -> None:
     rng = np.random.default_rng(cfg.seed)
     bs = _oscillatory_battery(d, 4, rng)
     balls = [Ball(0.0, 1.0), Ball(-2.0, 0.5), Ball(1.0, 2.0)]
-    norm_balls = [Ball(c, r) for c in (-4.0, -2.0, 0.0, 2.0, 4.0)
-                  for r in (0.25, 0.5, 1.0, 2.0)]
+    norm_balls = tuple(Ball(c, r) for c in (-4.0, -2.0, 0.0, 2.0, 4.0)
+                       for r in (0.25, 0.5, 1.0, 2.0))
     for a in [a for a in cfg.weight_params if -1.0 < a <= 0.0] or [0.0]:
         for ball in balls:
             params = {"power": a, "center": ball.center, "radius": ball.radius}
-            for bid, b in bs:
-                for kind in ("sgn", "rand"):
+            # the sign shape depends on (b, ball), the random one on the ball only:
+            # the weights share their profiles, and the b's the random phi_t * shape
+            for kind in ("sgn", "rand"):
+                for bid, b in bs:
                     case = f"{bid}|{kind}|c={ball.center:g}|r={ball.radius:g}|a={a:+g}"
                     with table.case(case, params) as add:
                         w = ctx.weight(a)
-                        rhs = ctx.once(("cal", a, bid), cal_bmo_omega_norm,
-                                       b, w, norm_balls).norm
-                        # the shapes depend on (kind, ball, b) only: the weights share
-                        # their profiles
-                        key = ("commutator", kind, ball, bid)
+                        rhs = ctx.once(cal_bmo_omega_norm, b, w, norm_balls).norm
                         if kind == "sgn":
                             atom = sgn_atom(b, ball, w)
                             if atom.degenerate:
                                 continue
-                            prof = ctx.once(key, ctx.commutator, atom.shape, b)
                         else:
-                            # it depends on (a, ball) only: the b's share it
-                            atom, family = ctx.latest(("rand", a, ball), _e7_rand_atom,
-                                                      ctx, a, ball)
-                            prof = ctx.once(key, lambda: ctx.commutator(atom.shape, b, family()))
+                            atom = ctx.once(make_atom, 1.0, 2.0, 0, w, ball, cfg.seed)
+                        prof = ctx.commutator(atom.shape, b)
                         add(lp_norm(_scaled(atom.factor, prof), 1.0, w), rhs)
-
-
-def _e7_rand_atom(ctx: RunContext, a: float, ball: Ball) -> tuple:
-    """E7's random (1, 2, 0)-atom on ball for the weight |x|^a, and the family
-    phi_t * shape, built on the first call only."""
-    atom = make_atom(1.0, 2.0, 0, ctx.weight(a), ball, seed=ctx.cfg.seed)
-    return atom, cache(lambda: ctx.convolve(atom.shape))
 
 
 def _run_e8(ctx: RunContext, table: RatioTable) -> None:

@@ -240,24 +240,40 @@ def test_range_sweeps_equal_per_range_loops(cells, all_intervals, tau):
         assert rep.rhs == rhs
 
 
-def test_e5_bmo_norms_from_shared_measures_equal_range_by_range_oracle():
+def test_e5_bmo_norms_from_shared_measures_equal_range_by_range_oracle(monkeypatch):
     # E5 at N = 768: 7 Bloom weights and 4 b's, each oscillation and each
     # nu(Q) computed once and shared by the 28 norms
+    norms, calls = [], {cube_oscillations: 0, cube_measures: 0}
+
+    def recorded(b, nu, ranges, *shared):
+        norms.append((b, nu, ranges, bmo_nu_norm(b, nu, ranges, *shared)))
+        return norms[-1][-1]
+
+    def counted(fn):
+        def call(*args):
+            calls[fn] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(harness, "bmo_nu_norm", recorded)
+    for fn in calls:
+        monkeypatch.setattr(harness, fn.__name__, counted(fn))
     cfg = parse_config("experiment = E5\ncells = 768\n")
-    ctx = harness.RunContext(cfg)
-    harness._run_e5(ctx, harness.RatioTable("E5"))
-    d, ranges = ctx.domain, ctx._memo["ranges"]
+    harness._run_e5(harness.RunContext(cfg), harness.RatioTable("E5"))
+    d = cfg.domain()
     bs = dict(harness._oscillatory_battery(d, 3, np.random.default_rng(cfg.seed))
               + [("b=x", GridFunction(d, d.x()))])
-    norms = {key[1:]: v for key, v in ctx._memo.items() if key[0] == "bmo"}
-    assert len(bs) == 4 and len({key[:3] for key in norms}) == 7 and len(norms) == 28
+    assert len(bs) == 4
+    assert {b.values.tobytes() for b, *_ in norms} == {b.values.tobytes() for b in bs.values()}
+    assert len({nu.values.tobytes() for _, nu, *_ in norms}) == 7 and len(norms) == 28
+    assert len({(b.values.tobytes(), nu.values.tobytes()) for b, nu, *_ in norms}) == 28
+    assert calls == {cube_oscillations: 4, cube_measures: 7}
     # the recentred mean and nu(Q) taken on each slice on its own, as in
     # _sweeps_per_range
-    osc = {bid: [np.abs(v - (v[0] + (v - v[0]).mean())).sum() * d.h
-                 for v in (b.values[s:e] for s, e in ranges)] for bid, b in bs.items()}
-    for (p, amu, alam, bid), got in norms.items():
-        nu = ctx._memo[("nu", p, amu, alam)]
-        assert got == max(o / nu.measure(s, e) for o, (s, e) in zip(osc[bid], ranges))
+    for b, nu, ranges, got in norms:
+        osc = [np.abs(v - (v[0] + (v - v[0]).mean())).sum() * d.h
+               for v in (b.values[s:e] for s, e in ranges)]
+        assert got == max(o / nu.measure(s, e) for o, (s, e) in zip(osc, ranges))
 
 
 def test_range_sweeps_over_no_ranges():
