@@ -14,7 +14,7 @@ reentrant (one thread at a time per plan).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -24,6 +24,28 @@ class ResolutionError(ValueError):
     """A requested scale is below the resolvable limit of the grid."""
 
 
+def _hash_once(cls):
+    """Let a frozen dataclass hash its fields once, at construction: the
+    generated __hash__ hashes them in Python on every call, and RunContext.once
+    hashes a domain, kernel and scale family on every hit. Copies and pickles
+    are rebuilt through the constructor, as str hashes differ between processes."""
+    field_hash, post_init = cls.__hash__, cls.__post_init__
+
+    def __post_init__(self):
+        post_init(self)
+        object.__setattr__(self, "_hash", field_hash(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, f.name) for f in fields(cls))
+
+    cls.__post_init__, cls.__hash__, cls.__reduce__ = __post_init__, __hash__, __reduce__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Domain1D:
     """Uniform grid on [left, right) with N cells; samples at cell midpoints."""
@@ -75,7 +97,7 @@ class GridFunction:
         """(domain, 16-byte blake2b digest of the values): equal for equal samples
         on one grid. It is taken once per object, so it holds only while the
         values are not written after construction."""
-        import hashlib  # not at import time: numpy.random loads it in a run anyway
+        import hashlib  # on first use: importing varharm.cli need not load OpenSSL
         return self.domain, hashlib.blake2b(np.ascontiguousarray(self.values).data,
                                             digest_size=16).digest()
 
@@ -148,6 +170,7 @@ def _bump_raw(u: np.ndarray) -> np.ndarray:
 KERNEL_KINDS = ("gaussian-heat", "poisson", "compact-bump")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class KernelSpec:
     """Mother kernel for the dilation family phi_t(x) = t^{-1} phi(x/t).
@@ -180,6 +203,7 @@ def eval_kernel_dilated(kernel: KernelSpec, t: float, x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+@_hash_once
 @dataclass(frozen=True)
 class ScaleFamily:
     """Finite strictly decreasing set of scales t_1 > ... > t_m > 0."""

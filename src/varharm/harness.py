@@ -209,11 +209,19 @@ _FUNCTION_BATTERIES = {
 }
 
 
+def _uniform_stream(seed: int):
+    """The uniforms of np.random.default_rng(seed).random(), from the in-repo
+    copy of its PCG64 stream, so that a run which draws no normals never
+    loads numpy.random."""
+    from .pcg64 import Uniforms  # on first use, not when varharm.cli is imported
+    return Uniforms(seed)
+
+
 def battery_generate(spec: str, seed: int, domain: Domain1D, count: int = 12) -> list:
     """Seeded battery of test functions, keyed by spec name."""
     if spec not in _FUNCTION_BATTERIES:
         raise ConfigError(f"unknown battery spec {spec!r}")
-    return _FUNCTION_BATTERIES[spec](domain, count, np.random.default_rng(seed))
+    return _FUNCTION_BATTERIES[spec](domain, count, _uniform_stream(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +432,7 @@ def _run_e3(ctx: RunContext, table: RatioTable) -> None:
     ps = [p for p in cfg.p_list if 0.5 < p <= 1.0] or [0.7, 1.0]
     lebesgue = Weight.constant(d)
     weights = [("lebesgue", lebesgue), ("pow+0.3", power_weight(0.3, d))]
-    rng = np.random.default_rng(cfg.seed)
+    rng = _uniform_stream(cfg.seed)
     for i, r in enumerate(radii):
         center = float((-1.0 + 2.0 * rng.random()) * min(1.0, 8.0 - r))
         ball = Ball(center, r)
@@ -453,7 +461,7 @@ def _run_e4(ctx: RunContext, table: RatioTable) -> None:
 
 def _run_e5(ctx: RunContext, table: RatioTable) -> None:
     cfg, d = ctx.cfg, ctx.domain
-    rng = np.random.default_rng(cfg.seed)
+    rng = _uniform_stream(cfg.seed)
     bs = _oscillatory_battery(d, 3, rng) + [("b=x", GridFunction(d, d.x()))]
     funcs = battery_generate(cfg.function_battery, cfg.seed + 1, d,
                              max(cfg.function_count // 3, 2))
@@ -489,7 +497,7 @@ def _run_e6(ctx: RunContext, table: RatioTable) -> None:
     cfg, d = ctx.cfg, ctx.domain
     tau = 0.125
     delta_param = 2.5
-    rng = np.random.default_rng(cfg.seed)
+    rng = _uniform_stream(cfg.seed)
     bs = (_oscillatory_battery(d, 6, rng)
           + [("b=x", GridFunction(d, d.x())),
              ("b=saw", GridFunction(d, np.abs((d.x() * 0.5) % 2.0 - 1.0)))])
@@ -513,7 +521,7 @@ def _run_e6(ctx: RunContext, table: RatioTable) -> None:
 
 def _run_e7(ctx: RunContext, table: RatioTable) -> None:
     cfg, d = ctx.cfg, ctx.domain
-    rng = np.random.default_rng(cfg.seed)
+    rng = _uniform_stream(cfg.seed)
     bs = _oscillatory_battery(d, 4, rng)
     balls = [Ball(0.0, 1.0), Ball(-2.0, 0.5), Ball(1.0, 2.0)]
     norm_balls = tuple(Ball(c, r) for c in (-4.0, -2.0, 0.0, 2.0, 4.0)
@@ -522,8 +530,11 @@ def _run_e7(ctx: RunContext, table: RatioTable) -> None:
         for ball in balls:
             params = {"power": a, "center": ball.center, "radius": ball.radius}
             # the sign shape depends on (b, ball), the random one on the ball only:
-            # the weights share their profiles, and the b's the random phi_t * shape
-            for kind in ("sgn", "rand"):
+            # the weights share their profiles, and the b's the random phi_t * shape.
+            # Random first: the first make_atom loads numpy.random (for normals),
+            # then before the first commutator family; of the load points measured
+            # only this one held E7's peak RSS at both grid sizes (BENCH_rng_import.json)
+            for kind in ("rand", "sgn"):
                 for bid, b in bs:
                     case = f"{bid}|{kind}|c={ball.center:g}|r={ball.radius:g}|a={a:+g}"
                     with table.case(case, params) as add:
@@ -540,7 +551,7 @@ def _run_e7(ctx: RunContext, table: RatioTable) -> None:
 
 
 def _run_e8(ctx: RunContext, table: RatioTable) -> None:
-    rng = np.random.default_rng(ctx.cfg.seed)
+    rng = _uniform_stream(ctx.cfg.seed)
     for i in range(max(ctx.cfg.function_count, 50)):
         xi = float(-2.0 + 4.0 * rng.random())
         dz = float(0.01 + 0.2 * rng.random())

@@ -1,5 +1,8 @@
 import bisect
+import copy
+import dataclasses
 import math
+import pickle
 import subprocess
 import sys
 
@@ -259,6 +262,25 @@ def test_scale_family_validation():
     fam = ScaleFamily.geometric(4.0, 0.5, 6, t_min=0.2)
     assert all(t >= 0.2 for t in fam)
     assert len(fam.refine()) == 2 * len(fam) - 1
+
+
+def test_equal_grids_kernels_and_scales_compare_and_hash_equal():
+    # each hashes its fields once; equal instances built apart must still
+    # hash equal, also when rebuilt by copy, pickle or dataclasses.replace
+    d, d2 = Domain1D(-8.0, 8.0, 768), Domain1D(-8, 8, 768)
+    fam = ScaleFamily.for_domain(d)
+    pairs = [(d, d2), (KernelSpec("poisson"), KernelSpec("poisson")),
+             (fam, ScaleFamily.for_domain(d2)), (fam, ScaleFamily(list(fam))),
+             (fam.refine(), ScaleFamily.for_domain(d2).refine()),
+             (ScaleFamily.geometric(4.0, 0.85, 48, t_min=2.0 * d.h), fam)]
+    for a, b in pairs:
+        for c in (b, copy.deepcopy(b), pickle.loads(pickle.dumps(b)), dataclasses.replace(b)):
+            assert a == c and hash(a) == hash(c) and c is not a
+        assert {a: 1}[b] == 1
+    assert fam != fam.refine() and d != Domain1D(-8.0, 8.0, 384)
+    assert KernelSpec("poisson") != KernelSpec("gaussian-heat")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.cells = 96
 
 
 def test_csv_round_trip(tmp_path):

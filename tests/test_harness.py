@@ -262,6 +262,32 @@ def test_cli_run_exits_quietly_when_stdout_closes_early(tmp_path, unbuffered):
             == (tmp_path / "open" / "E8.csv").read_bytes())
 
 
+def test_uniform_draws_leave_numpy_random_unloaded(tmp_path):
+    # Runs that draw only uniforms take them from varharm.pcg64 and never load
+    # numpy.random, a cost each `varharm run` process would pay. E3 and E7 still
+    # load it: make_atom draws normals from numpy's generator. E7 runs last, so
+    # the test also sees the check report a load.
+    code = f"""
+import sys
+from varharm.cli import main
+for e in ("E1", "E2", "E4", "E5", "E6", "E8", "E7"):
+    cfg = {str(tmp_path)!r} + f"/{{e}}.cfg"
+    with open(cfg, "w") as fh:
+        fh.write(f"experiment = {{e}}\\ncells = 96\\n")
+    assert main(["run", "--config", cfg, "--out", {str(tmp_path / "out")!r}]) in (0, 2)
+    print("numpy.random after", e, "numpy.random" in sys.modules)
+"""
+    src = str(Path(varharm.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    loaded = dict(line.split()[2:] for line in out.splitlines()
+                  if line.startswith("numpy.random after"))
+    assert loaded == {"E1": "False", "E2": "False", "E4": "False", "E5": "False",
+                      "E6": "False", "E8": "False", "E7": "True"}
+
+
 def test_run_summary_is_strict_json(tmp_path):
     table = RatioTable("E8")
     table.add("c", {}, 1e300, 1e-300)  # ratio overflows: not in max_ratio
