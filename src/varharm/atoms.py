@@ -127,9 +127,10 @@ def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball, seed: int) -> A
     u = (x - ball.center) / ball.radius
     bump = _bump_raw(u)
 
-    rng = np.random.default_rng(seed)
+    from .pcg64 import Uniforms  # on first use, not when varharm.cli is imported
+    rng = Uniforms(seed)  # the normals of np.random.default_rng(seed)
     for _ in range(_RESAMPLES):
-        coeffs = rng.standard_normal(8)
+        coeffs = np.array([rng.standard_normal() for _ in range(8)])
         g = np.zeros_like(u)
         for k in range(4):
             g += coeffs[2 * k] * np.cos((k + 1) * math.pi * u)

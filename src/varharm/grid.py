@@ -97,9 +97,10 @@ class GridFunction:
         """(domain, 16-byte blake2b digest of the values): equal for equal samples
         on one grid. It is taken once per object, so it holds only while the
         values are not written after construction."""
-        import hashlib  # on first use: importing varharm.cli need not load OpenSSL
-        return self.domain, hashlib.blake2b(np.ascontiguousarray(self.values).data,
-                                            digest_size=16).digest()
+        # hashlib.blake2b is _blake2.blake2b, but importing hashlib loads OpenSSL
+        from _blake2 import blake2b
+        return self.domain, blake2b(np.ascontiguousarray(self.values).data,
+                                    digest_size=16).digest()
 
     @classmethod
     def indicator(cls, domain: Domain1D, a: float, b: float) -> "GridFunction":

@@ -211,8 +211,7 @@ _FUNCTION_BATTERIES = {
 
 def _uniform_stream(seed: int):
     """The uniforms of np.random.default_rng(seed).random(), from the in-repo
-    copy of its PCG64 stream, so that a run which draws no normals never
-    loads numpy.random."""
+    copy of its PCG64 stream, so that no run loads numpy.random."""
     from .pcg64 import Uniforms  # on first use, not when varharm.cli is imported
     return Uniforms(seed)
 
@@ -531,9 +530,9 @@ def _run_e7(ctx: RunContext, table: RatioTable) -> None:
             params = {"power": a, "center": ball.center, "radius": ball.radius}
             # the sign shape depends on (b, ball), the random one on the ball only:
             # the weights share their profiles, and the b's the random phi_t * shape.
-            # Random first: the first make_atom loads numpy.random (for normals),
-            # then before the first commutator family; of the load points measured
-            # only this one held E7's peak RSS at both grid sizes (BENCH_rng_import.json)
+            # Either order gives the same rows and convolutions; E7's peak RSS
+            # with sign atoms first was within 0.05 MB at N = 768 and 3072
+            # (BENCH_normals.json), so the random atoms stay first.
             for kind in ("rand", "sgn"):
                 for bid, b in bs:
                     case = f"{bid}|{kind}|c={ball.center:g}|r={ball.radius:g}|a={a:+g}"

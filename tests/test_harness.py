@@ -262,30 +262,28 @@ def test_cli_run_exits_quietly_when_stdout_closes_early(tmp_path, unbuffered):
             == (tmp_path / "open" / "E8.csv").read_bytes())
 
 
-def test_uniform_draws_leave_numpy_random_unloaded(tmp_path):
-    # Runs that draw only uniforms take them from varharm.pcg64 and never load
-    # numpy.random, a cost each `varharm run` process would pay. E3 and E7 still
-    # load it: make_atom draws normals from numpy's generator. E7 runs last, so
-    # the test also sees the check report a load.
+def test_runs_load_neither_numpy_random_nor_openssl(tmp_path):
+    # Every draw, uniform or normal, comes from varharm.pcg64, and grid-function
+    # keys take blake2b from _blake2: no run loads numpy.random, nor OpenSSL
+    # through hashlib (as numpy.random does, by secrets and hmac), a cost each
+    # `varharm run` process would pay.
     code = f"""
 import sys
 from varharm.cli import main
-for e in ("E1", "E2", "E4", "E5", "E6", "E8", "E7"):
+for e in ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8"):
     cfg = {str(tmp_path)!r} + f"/{{e}}.cfg"
     with open(cfg, "w") as fh:
         fh.write(f"experiment = {{e}}\\ncells = 96\\n")
     assert main(["run", "--config", cfg, "--out", {str(tmp_path / "out")!r}]) in (0, 2)
-    print("numpy.random after", e, "numpy.random" in sys.modules)
+    print("loaded after", e, *sorted({{"numpy.random", "hashlib", "_hashlib"}} & set(sys.modules)))
 """
     src = str(Path(varharm.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    loaded = dict(line.split()[2:] for line in out.splitlines()
-                  if line.startswith("numpy.random after"))
-    assert loaded == {"E1": "False", "E2": "False", "E4": "False", "E5": "False",
-                      "E6": "False", "E8": "False", "E7": "True"}
+    loaded = [line.split()[2:] for line in out.splitlines() if line.startswith("loaded after")]
+    assert loaded == [[e] for e in ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")]
 
 
 def test_run_summary_is_strict_json(tmp_path):
