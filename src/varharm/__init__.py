@@ -9,7 +9,7 @@ from .grid import (Domain1D, GridFunction, KernelSpec, ResolutionError,
                    lp_norm, weak_l1_norm)
 from .harness import (ExperimentConfig, RatioTable, battery_generate,
                       parse_config, run_experiment)
-from .lattice import (Cube, DyadicLattice, cube_domain_ranges, default_lattices,
+from .lattice import (DyadicLattice, cube_domain_ranges, default_lattices,
                       hl_maximal, max_aligned_depth)
 from .oscillation import (EquivalenceReport, TailNormReport,
                           WitnessPlacementError, WitnessResult,

@@ -14,7 +14,7 @@ reentrant (one thread at a time per plan).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -24,28 +24,6 @@ class ResolutionError(ValueError):
     """A requested scale is below the resolvable limit of the grid."""
 
 
-def _hash_once(cls):
-    """Let a frozen dataclass hash its fields once, at construction: the
-    generated __hash__ hashes them in Python on every call, and RunContext.once
-    hashes a domain, kernel and scale family on every hit. Copies and pickles
-    are rebuilt through the constructor, as str hashes differ between processes."""
-    field_hash, post_init = cls.__hash__, cls.__post_init__
-
-    def __post_init__(self):
-        post_init(self)
-        object.__setattr__(self, "_hash", field_hash(self))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return cls, tuple(getattr(self, f.name) for f in fields(cls))
-
-    cls.__post_init__, cls.__hash__, cls.__reduce__ = __post_init__, __hash__, __reduce__
-    return cls
-
-
-@_hash_once
 @dataclass(frozen=True)
 class Domain1D:
     """Uniform grid on [left, right) with N cells; samples at cell midpoints."""
@@ -171,7 +149,6 @@ def _bump_raw(u: np.ndarray) -> np.ndarray:
 KERNEL_KINDS = ("gaussian-heat", "poisson", "compact-bump")
 
 
-@_hash_once
 @dataclass(frozen=True)
 class KernelSpec:
     """Mother kernel for the dilation family phi_t(x) = t^{-1} phi(x/t).
@@ -204,7 +181,6 @@ def eval_kernel_dilated(kernel: KernelSpec, t: float, x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-@_hash_once
 @dataclass(frozen=True)
 class ScaleFamily:
     """Finite strictly decreasing set of scales t_1 > ... > t_m > 0."""

@@ -522,13 +522,15 @@ def _run_e7(ctx: RunContext, table: RatioTable) -> None:
     cfg, d = ctx.cfg, ctx.domain
     rng = _uniform_stream(cfg.seed)
     bs = _oscillatory_battery(d, 4, rng)
+    lebesgue = Weight.constant(d)
     balls = [Ball(0.0, 1.0), Ball(-2.0, 0.5), Ball(1.0, 2.0)]
     norm_balls = tuple(Ball(c, r) for c in (-4.0, -2.0, 0.0, 2.0, 4.0)
                        for r in (0.25, 0.5, 1.0, 2.0))
     for a in [a for a in cfg.weight_params if -1.0 < a <= 0.0] or [0.0]:
         for ball in balls:
             params = {"power": a, "center": ball.center, "radius": ball.radius}
-            # the sign shape depends on (b, ball), the random one on the ball only:
+            # the sign shape depends on (b, ball), the random one on the ball only, so
+            # it is built once per ball and normalized for each weight, as in E3:
             # the weights share their profiles, and the b's the random phi_t * shape.
             # Either order gives the same rows and convolutions; E7's peak RSS
             # with sign atoms first was within 0.05 MB at N = 768 and 3072
@@ -544,7 +546,8 @@ def _run_e7(ctx: RunContext, table: RatioTable) -> None:
                             if atom.degenerate:
                                 continue
                         else:
-                            atom = ctx.once(make_atom, 1.0, 2.0, 0, w, ball, cfg.seed)
+                            atom = ctx.once(make_atom, 1.0, 2.0, 0, lebesgue, ball,
+                                            cfg.seed).normalized(1.0, w)
                         prof = ctx.commutator(atom.shape, b)
                         add(lp_norm(_scaled(atom.factor, prof), 1.0, w), rhs)
 

@@ -6,6 +6,9 @@ trick), so suprema over "all cubes" are realized over the union of the
 three cube sets. The grid alone fixes the lattices: `default_lattices`
 builds them at the finest depth whose cube boundaries stay on cell
 boundaries, and every cube sweep derives them from its function's domain.
+A cube is a half-open cell range, never an object: cube j of a level of
+width w covers root cells [j w, (j + 1) w), which are domain cells
+offset_cells + [j w, (j + 1) w), clipped to the domain where cells are summed.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ class DyadicLattice:
 
     The root has length 3 * len(domain); the three shifts delta in
     {0, 1/3, 2/3} of the root length all keep the domain inside the root.
-    Cube boundaries land on grid cell boundaries by construction.
+    Its cube boundaries land on grid cell boundaries by construction.
     """
 
     domain: Domain1D
@@ -44,85 +47,12 @@ class DyadicLattice:
         return 3 * self.domain.cells
 
     @property
-    def root_left(self) -> float:
-        # base root [left - 2 len, left + len), shifted right by shift * 3 len
-        d = self.domain
-        return d.left - 2.0 * d.length + self.shift * 3.0 * d.length
-
-    @property
     def offset_cells(self) -> int:
         """Domain-grid cell index of the root's left edge (<= 0)."""
         return -2 * self.domain.cells + self.shift_index * self.domain.cells
 
     def width_cells(self, level: int) -> int:
         return self.root_cells // (1 << level)
-
-    def cube(self, level: int, index: int) -> "Cube":
-        return Cube(self, level, index)
-
-    def cubes(self):
-        """Iterate the cubes meeting the domain, level by level."""
-        for level in range(self.depth + 1):
-            for j in range(1 << level):
-                cube = Cube(self, level, j)
-                s, e = cube.domain_cell_range()
-                if s < e:
-                    yield cube
-
-
-@dataclass(frozen=True)
-class Cube:
-    lattice: DyadicLattice
-    level: int
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.level <= self.lattice.depth:
-            raise ValueError("cube level outside lattice depth")
-        if not 0 <= self.index < (1 << self.level):
-            raise ValueError("cube index outside level range")
-
-    @property
-    def width_cells(self) -> int:
-        return self.lattice.width_cells(self.level)
-
-    @property
-    def length(self) -> float:
-        return self.width_cells * self.lattice.domain.h
-
-    @property
-    def left(self) -> float:
-        return self.lattice.root_left + self.index * self.length
-
-    @property
-    def right(self) -> float:
-        return self.left + self.length
-
-    def children(self) -> tuple["Cube", "Cube"]:
-        if self.level >= self.lattice.depth:
-            raise ValueError("cube at maximum depth has no recorded children")
-        return (Cube(self.lattice, self.level + 1, 2 * self.index),
-                Cube(self.lattice, self.level + 1, 2 * self.index + 1))
-
-    def root_cell_range(self) -> tuple[int, int]:
-        """Half-open cell range in root-grid coordinates (3N cells)."""
-        w = self.width_cells
-        start = self.index * w
-        return start, start + w
-
-    def domain_cell_range(self) -> tuple[int, int]:
-        """Half-open cell range in domain coordinates, clipped to [0, N)."""
-        w = self.width_cells
-        start = self.lattice.offset_cells + self.index * w
-        n = self.lattice.domain.cells
-        return max(start, 0), min(start + w, n)
-
-    def tripled_domain_cell_range(self) -> tuple[int, int]:
-        """Cell range of the concentric tripling 3Q, clipped to the domain."""
-        w = self.width_cells
-        start = self.lattice.offset_cells + self.index * w - w
-        n = self.lattice.domain.cells
-        return max(start, 0), min(start + 3 * w, n)
 
 
 def max_aligned_depth(domain: Domain1D) -> int:

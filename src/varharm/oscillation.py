@@ -1,7 +1,7 @@
 """Oscillation functionals: BMO-type norms, medians, local mean oscillation,
 the quantile equivalence, and the oscillation-witness construction.
 
-Cube arguments are half-open grid cell ranges (start, stop). The sweeps
+The cube arguments are half-open grid cell ranges (start, stop). The sweeps
 run over the range set their caller passes, usually the lattice cubes of
 `cube_domain_ranges`.
 """

@@ -2,10 +2,12 @@
 
 Below each selected cube (the lattice root first) the builder selects the
 maximal subcubes whose tripled averages exceed a fixed multiple of that
-cube's. Cube (level, j) has heap id 2^level - 1 + j and parent (id - 1) // 2;
-the walk runs level by level on arrays over these ids. If the cubes selected
-below a cube cover more than half of it, the threshold multiplier is doubled
-and the walk reruns on the same averages, which pins eta at 1/2.
+cube's. The cube (level, j) has heap id 2^level - 1 + j and parent
+(id - 1) // 2; the walk runs level by level on arrays over these ids. If the
+cubes selected below a cube cover more than half of it, the threshold
+multiplier is doubled and the walk reruns on the same averages, which pins
+eta at 1/2. A family is the selected rows of that walk: each cube's
+root-grid cell range, in heap order, and its set E_Q.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ class SparseConstructionError(RuntimeError):
 
 @dataclass
 class SparseFamily:
-    """Cubes of one lattice with disjoint subsets E_Q of cells, |E_Q| >= eta |Q|.
+    """The cubes of one lattice with disjoint subsets E_Q of cells, |E_Q| >= eta |Q|.
 
-    E_Q cell sets are stored in root-grid coordinates (3N cells), so cube
-    measures are exact cell counts even where cubes leave the domain.
+    The cubes and E_Q cell sets are stored in root-grid coordinates (3N cells),
+    so cube measures are exact cell counts even where cubes leave the domain.
     """
 
     lattice: DyadicLattice
-    cubes: list  # list[Cube]
-    e_sets: dict  # Cube -> np.ndarray of root-grid cell indices
+    cubes: np.ndarray  # (K, 2) intp root-grid ranges [start, stop), ancestors first
+    e_sets: list  # row k: np.ndarray of the root-grid cells of E_Q for cubes[k]
     eta: float
     c0: float | None = None  # threshold multiplier the builder ended with
 
@@ -45,23 +47,22 @@ class SparseReport:
 
 
 def validate_sparse(family: SparseFamily) -> SparseReport:
-    """Exact cell-count check of disjointness and |E_Q| >= eta |Q|."""
+    """Exact cell-count check of E_Q in Q, disjointness and |E_Q| >= eta |Q|.
+    Violations name rows of family.cubes, a shared cell the pair of rows."""
     violations = []
     seen = {}
-    for cube in family.cubes:
-        e = np.asarray(family.e_sets[cube])
-        s, t = cube.root_cell_range()
+    for k, (s, t) in enumerate(family.cubes.tolist()):
+        e = np.asarray(family.e_sets[k])
         if len(e) and (e.min() < s or e.max() >= t):
-            violations.append((cube, "E_Q not contained in Q"))
-        if len(e) < family.eta * cube.width_cells:
-            violations.append((cube, f"|E_Q| = {len(e)} < eta |Q| = "
-                                     f"{family.eta * cube.width_cells}"))
-        for c in e:
-            c = int(c)
+            violations.append((k, "E_Q not contained in Q"))
+        if len(e) < family.eta * (t - s):
+            violations.append((k, f"|E_Q| = {len(e)} < eta |Q| = "
+                                  f"{family.eta * (t - s)}"))
+        for c in e.tolist():
             if c in seen:
-                violations.append(((seen[c], cube), f"shared cell {c}"))
+                violations.append(((seen[c], k), f"shared cell {c}"))
                 break
-            seen[c] = cube
+            seen[c] = k
     return SparseReport(ok=not violations, violations=violations)
 
 
@@ -104,19 +105,21 @@ def build_sparse_family(f: GridFunction, lattice: DyadicLattice,
         raise SparseConstructionError(f"threshold escalation exceeded {max_escalations} doublings")
     # root cells go to E_Q of the last selected Q above their leaf; ancestors have smaller ids
     owner = stop[len(ids) // 2 + np.arange(lattice.root_cells) // width[-1]]
-    cubes = [lattice.cube(int(level[i]), int(index[i])) for i in sel]
-    e_sets = {q: np.flatnonzero(owner == i) for q, i in zip(cubes, sel)}
+    cubes = np.stack([index[sel] * width[sel], (index[sel] + 1) * width[sel]], axis=1)
+    e_sets = [np.flatnonzero(owner == i) for i in sel]
     return SparseFamily(lattice, cubes, e_sets, eta=0.5, c0=c0)
 
 
 def _sum_over_cubes(family: SparseFamily, f: GridFunction, term) -> GridFunction:
     """sum over Q of term(s, e, |Q|) on the domain cells [s, e) of Q, added
-    cube by cube in family order; cubes off the domain add nothing."""
-    out = np.zeros(f.domain.cells)
-    for cube in family.cubes:
-        s, e = cube.domain_cell_range()
+    row by row in family order; cubes off the domain add nothing."""
+    n = f.domain.cells
+    off = family.lattice.offset_cells
+    out = np.zeros(n)
+    for start, stop in family.cubes.tolist():
+        s, e = max(start + off, 0), min(stop + off, n)
         if e > s:
-            out[s:e] += term(s, e, cube.width_cells)
+            out[s:e] += term(s, e, stop - start)
     return GridFunction(f.domain, out)
 
 

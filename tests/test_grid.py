@@ -265,8 +265,8 @@ def test_scale_family_validation():
 
 
 def test_equal_grids_kernels_and_scales_compare_and_hash_equal():
-    # each hashes its fields once; equal instances built apart must still
-    # hash equal, also when rebuilt by copy, pickle or dataclasses.replace
+    # equal instances built apart must compare and hash equal, also when
+    # rebuilt by copy, pickle or dataclasses.replace
     d, d2 = Domain1D(-8.0, 8.0, 768), Domain1D(-8, 8, 768)
     fam = ScaleFamily.for_domain(d)
     pairs = [(d, d2), (KernelSpec("poisson"), KernelSpec("poisson")),

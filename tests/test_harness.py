@@ -266,7 +266,7 @@ def test_runs_load_neither_numpy_random_nor_openssl(tmp_path):
     # Every draw, uniform or normal, comes from varharm.pcg64, and grid-function
     # keys take blake2b from _blake2: no run loads numpy.random, nor OpenSSL
     # through hashlib (as numpy.random does, by secrets and hmac), a cost each
-    # `varharm run` process would pay.
+    # `varharm run` process would pay. `varharm check` draws from random.Random.
     code = f"""
 import sys
 from varharm.cli import main
@@ -276,6 +276,8 @@ for e in ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8"):
         fh.write(f"experiment = {{e}}\\ncells = 96\\n")
     assert main(["run", "--config", cfg, "--out", {str(tmp_path / "out")!r}]) in (0, 2)
     print("loaded after", e, *sorted({{"numpy.random", "hashlib", "_hashlib"}} & set(sys.modules)))
+assert main(["check"]) == 0
+print("loaded after check", *sorted({{"numpy.random", "hashlib", "_hashlib"}} & set(sys.modules)))
 """
     src = str(Path(varharm.__file__).parents[1])
     env = {**os.environ,
@@ -283,7 +285,7 @@ for e in ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8"):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     loaded = [line.split()[2:] for line in out.splitlines() if line.startswith("loaded after")]
-    assert loaded == [[e] for e in ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")]
+    assert loaded == [[e] for e in ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "check")]
 
 
 def test_run_summary_is_strict_json(tmp_path):

@@ -8,6 +8,8 @@ from varharm import (Domain1D, GridFunction, cube_domain_ranges, default_lattice
                      hl_maximal, max_aligned_depth)
 from varharm.lattice import _sorted_unique
 
+from cube_oracle import lattice_cubes
+
 
 def _hl_maximal_exhaustive(f):
     """Slow oracle: M f over every grid-aligned interval, as an array."""
@@ -37,28 +39,13 @@ def test_max_aligned_depth():
 def test_roots_contain_domain_and_relative_shifts():
     d = Domain1D(-8.0, 8.0, 96)
     lats = default_lattices(d)
-    root_len = 3 * d.length
     for lat in lats:
-        assert lat.root_left <= d.left
-        assert lat.root_left + root_len >= d.left + d.length
+        assert lat.root_cells == 3 * d.cells
+        assert lat.offset_cells <= 0
+        assert lat.offset_cells + lat.root_cells >= d.cells
     # mutual shifts are one third of the root length
-    assert lats[1].root_left - lats[0].root_left == pytest.approx(root_len / 3)
-    assert lats[2].root_left - lats[1].root_left == pytest.approx(root_len / 3)
-
-
-def test_cube_geometry_and_children_partition():
-    d = Domain1D(-8.0, 8.0, 96)
-    lat = default_lattices(d)[1]
-    q = lat.cube(2, 1)
-    a, b = q.children()
-    assert a.root_cell_range()[0] == q.root_cell_range()[0]
-    assert a.root_cell_range()[1] == b.root_cell_range()[0]
-    assert b.root_cell_range()[1] == q.root_cell_range()[1]
-    assert a.length == pytest.approx(q.length / 2)
-    with pytest.raises(ValueError):
-        lat.cube(2, 4)
-    with pytest.raises(ValueError):
-        lat.cube(6, 0)
+    assert lats[1].offset_cells - lats[0].offset_cells == lats[0].root_cells // 3
+    assert lats[2].offset_cells - lats[1].offset_cells == lats[0].root_cells // 3
 
 
 def test_one_third_trick_exhaustive():
@@ -119,9 +106,8 @@ def test_hl_maximal_dominates_cube_averages():
     m = hl_maximal(f).values
     a = np.abs(f.values)
     for lat in default_lattices(d):
-        for cube in lat.cubes():
-            s, e = cube.domain_cell_range()
-            avg = a[s:e].sum() / cube.width_cells
+        for s, e, w in lattice_cubes(lat):
+            avg = a[s:e].sum() / w
             assert np.all(m[s:e] >= avg - 1e-12)
 
 
@@ -138,12 +124,11 @@ def test_hl_maximal_equals_python_cube_sums(cells, kind):
     a = np.abs(f.values).tolist()
     expect = np.zeros(cells)
     for lat in default_lattices(d):
-        for cube in lat.cubes():
-            s, e = cube.domain_cell_range()
+        for s, e, w in lattice_cubes(lat):
             total = 0.0
             for v in a[s:e]:
                 total += v
-            expect[s:e] = np.maximum(expect[s:e], total / cube.width_cells)
+            expect[s:e] = np.maximum(expect[s:e], total / w)
     assert np.array_equal(hl_maximal(f).values, expect)
 
 
@@ -161,7 +146,7 @@ def test_cube_domain_ranges_dedup_and_bounds():
 def test_cube_domain_ranges_equal_cube_enumeration(cells):
     d = Domain1D(-8.0, 8.0, cells)
     lats = default_lattices(d)
-    seen = {cube.domain_cell_range() for lat in lats for cube in lat.cubes()}
+    seen = {(s, e) for lat in lats for s, e, _ in lattice_cubes(lat)}
     expect = sorted(seen, key=lambda r: (r[1] - r[0], r[0]))
     got = cube_domain_ranges(lats)
     assert got.dtype == np.intp
@@ -174,8 +159,7 @@ def test_cube_domain_ranges_equal_np_unique_dedupe(cells):
     d = Domain1D(-8.0, 8.0, cells)
     lats = default_lattices(d)
     n = d.cells
-    keys = [(e - s) * (n + 1) + s for lat in lats for cube in lat.cubes()
-            for s, e in [cube.domain_cell_range()]]
+    keys = [(e - s) * (n + 1) + s for lat in lats for s, e, _ in lattice_cubes(lat)]
     key = np.unique(np.array(keys))
     start = key % (n + 1)
     expect = list(zip(start.tolist(), (start + key // (n + 1)).tolist()))

@@ -83,7 +83,7 @@ _BUDGET = {
            "bloom_weight": 7, "cube_oscillations": 4, "cube_measures": 7,
            "bmo_nu_norm": 28},
     "E6": {},
-    "E7": {"convolve_family": 33, "commutator_variation": 21, "make_atom": 6,
+    "E7": {"convolve_family": 33, "commutator_variation": 21, "make_atom": 3,
            "cal_bmo_omega_norm": 8},
     "E8": {},
 }

@@ -11,12 +11,12 @@ def _unit_cube_family():
     """Single-cube family whose cube is exactly [0, 1) on the domain grid."""
     d = Domain1D(-1.0 / 3.0, 1.0, 12)  # h = 1/9, 3N = 36 = 4 * 9
     lat = default_lattices(d)[0]
-    q = lat.cube(2, 3)
-    assert q.domain_cell_range() == (3, 12)
-    assert q.left == pytest.approx(0.0, abs=1e-12)
-    assert q.length == pytest.approx(1.0, abs=1e-12)
-    s, e = q.root_cell_range()
-    fam = SparseFamily(lat, [q], {q: np.arange(s, e)}, eta=0.5)
+    w = lat.width_cells(2)
+    q = (3 * w, 4 * w)  # cube (2, 3) in root cells
+    assert (lat.offset_cells + q[0], lat.offset_cells + q[1]) == (3, 12)
+    assert d.left + (lat.offset_cells + q[0]) * d.h == pytest.approx(0.0, abs=1e-12)
+    assert w * d.h == pytest.approx(1.0, abs=1e-12)
+    fam = SparseFamily(lat, np.array([q]), [np.arange(*q)], eta=0.5)
     return d, q, fam
 
 
@@ -24,23 +24,23 @@ def test_validate_sparse_accepts_and_rejects():
     d, q, fam = _unit_cube_family()
     assert validate_sparse(fam).ok
     # E_Q escaping the cube
-    s, e = q.root_cell_range()
-    bad = SparseFamily(fam.lattice, [q], {q: np.arange(s - 1, e)}, eta=0.5)
+    s, e = q
+    bad = SparseFamily(fam.lattice, fam.cubes, [np.arange(s - 1, e)], eta=0.5)
     assert not validate_sparse(bad).ok
     # E_Q too small for eta = 1/2
-    small = SparseFamily(fam.lattice, [q], {q: np.arange(s, s + 3)}, eta=0.5)
+    small = SparseFamily(fam.lattice, fam.cubes, [np.arange(s, s + 3)], eta=0.5)
     assert not validate_sparse(small).ok
 
 
 def test_validate_sparse_names_a_shared_cell():
     d, q, fam = _unit_cube_family()
-    parent = fam.lattice.cube(1, 1)  # root cells [18, 36), holds q = [27, 36)
-    s, e = q.root_cell_range()
-    shared = SparseFamily(fam.lattice, [parent, q],
-                          {parent: np.arange(18, s + 1), q: np.arange(s, e)}, eta=0.5)
+    parent = (18, 36)  # cube (1, 1) in root cells, holds q = [27, 36)
+    s, e = q
+    shared = SparseFamily(fam.lattice, np.array([parent, q]),
+                          [np.arange(18, s + 1), np.arange(s, e)], eta=0.5)
     rep = validate_sparse(shared)
     assert not rep.ok
-    assert rep.violations == [((parent, q), f"shared cell {s}")]
+    assert rep.violations == [((0, 1), f"shared cell {s}")]
 
 
 def test_sparse_operator_single_cube():
@@ -82,9 +82,9 @@ def test_builder_constant_function_keeps_only_root():
     lat = default_lattices(d)[0]
     fam = build_sparse_family(GridFunction(d, np.ones(d.cells)), lat)
     assert len(fam.cubes) == 1
-    assert fam.cubes[0].level == 0
+    assert fam.cubes.tolist() == [[0, lat.root_cells]]  # the level-0 cube
     assert validate_sparse(fam).ok
-    assert len(fam.e_sets[fam.cubes[0]]) == lat.root_cells
+    assert len(fam.e_sets[0]) == lat.root_cells
 
 
 def test_builder_rejects_bad_input():
@@ -106,10 +106,8 @@ def test_builder_spike_function_validates_on_all_lattices():
         assert validate_sparse(fam).ok
         assert len(fam.cubes) > 1  # the spike forces a selection
         # selected cubes are nested inside the root and pairwise organized
-        root = fam.cubes[0]
-        rs, re = root.root_cell_range()
-        for cube in fam.cubes[1:]:
-            s, e = cube.root_cell_range()
+        rs, re = fam.cubes[0].tolist()
+        for s, e in fam.cubes[1:].tolist():
             assert rs <= s < e <= re
 
 
@@ -124,17 +122,18 @@ def test_builder_stopping_property():
     assert validate_sparse(fam).ok
 
     def tripled_avg(cube):
-        w = cube.width_cells
-        start = lat.offset_cells + cube.index * w - w
+        qs, qe = cube
+        w = qe - qs
+        start = lat.offset_cells + qs - w
         s, e = max(start, 0), min(start + 3 * w, d.cells)
         return np.abs(f.values[s:e]).mean() if e > s else 0.0
 
-    by_range = {c.root_cell_range(): c for c in fam.cubes}
-    for cube in fam.cubes[1:]:
-        s, e = cube.root_cell_range()
-        parents = [p for (ps, pe), p in by_range.items()
+    cubes = [tuple(c) for c in fam.cubes.tolist()]
+    for cube in cubes[1:]:
+        s, e = cube
+        parents = [(ps, pe) for ps, pe in cubes
                    if ps <= s and e <= pe and (pe - ps) > (e - s)]
-        tightest = min(parents, key=lambda p: p.width_cells)
+        tightest = min(parents, key=lambda p: p[1] - p[0])
         assert tripled_avg(cube) > 2.0 * tripled_avg(tightest) * (1 - 1e-12)
 
 
@@ -150,49 +149,64 @@ def test_domination_check_indicator():
     assert rep.c0_used == [4.0, 2.0, 4.0]
 
 
-def _tripled_avg(f_root, cube):
-    s, e = cube.tripled_domain_cell_range()
+def _root_range(lattice, q):
+    """Root-grid cells [j w, (j + 1) w) of cube q = (level, j)."""
+    w = lattice.width_cells(q[0])
+    return q[1] * w, (q[1] + 1) * w
+
+
+def _children(q):
+    return [(q[0] + 1, 2 * q[1]), (q[0] + 1, 2 * q[1] + 1)]
+
+
+def _tripled_avg(lattice, f_root, q):
+    """Mean of |f| over the domain cells of 3Q, 0 where 3Q misses the domain."""
+    s, e = _root_range(lattice, q)
+    w = e - s
+    s, e = max(lattice.offset_cells + s - w, 0), min(lattice.offset_cells + e + w, len(f_root))
     if e <= s:
         return 0.0
     return float(np.abs(f_root[s:e]).mean())
 
 
 def _tree_walk_family(f, lattice, c0=2.0, max_escalations=10):
-    """The stopping-time tree walk cube by cube, restarted from the root on
-    each threshold doubling: the exactness oracle of the array builder."""
+    """The stopping-time tree walk cube by cube over (level, index) pairs,
+    restarted from the root on each threshold doubling: the exactness oracle
+    of the array builder. Returns the family in the walk's order."""
     vals = f.values
     for _ in range(max_escalations + 1):
-        root = lattice.cube(0, 0)
+        root = (0, 0)
         cubes = [root]
         e_sets = {}
         ok = True
         stack = [root]
         while stack and ok:
             q = stack.pop()
-            thr = c0 * _tripled_avg(vals, q)
+            thr = c0 * _tripled_avg(lattice, vals, q)
             selected = []
-            if q.level < lattice.depth:
-                scan = list(q.children())
+            if q[0] < lattice.depth:
+                scan = _children(q)
                 while scan:
                     p = scan.pop()
-                    if _tripled_avg(vals, p) > thr:
+                    if _tripled_avg(lattice, vals, p) > thr:
                         selected.append(p)
-                    elif p.level < lattice.depth:
-                        scan.extend(p.children())
-            covered = sum(p.width_cells for p in selected)
-            if covered > q.width_cells // 2:
+                    elif p[0] < lattice.depth:
+                        scan.extend(_children(p))
+            covered = sum(lattice.width_cells(p[0]) for p in selected)
+            if covered > lattice.width_cells(q[0]) // 2:
                 ok = False
                 break
-            qs, qe = q.root_cell_range()
+            qs, qe = _root_range(lattice, q)
             mask = np.ones(qe - qs, dtype=bool)
             for p in selected:
-                ps, pe = p.root_cell_range()
+                ps, pe = _root_range(lattice, p)
                 mask[ps - qs:pe - qs] = False
             e_sets[q] = np.flatnonzero(mask) + qs
             cubes.extend(selected)
             stack.extend(selected)
         if ok:
-            return SparseFamily(lattice, cubes, e_sets, eta=0.5, c0=c0)
+            return SparseFamily(lattice, np.array([_root_range(lattice, q) for q in cubes]),
+                                [e_sets[q] for q in cubes], eta=0.5, c0=c0)
         c0 *= 2.0
     raise SparseConstructionError("escalation cap")
 
@@ -216,16 +230,18 @@ def test_builder_equals_tree_walk_oracle(cells):
                 want = _tree_walk_family(f, lat, c0)
                 got = build_sparse_family(f, lat, c0)
                 assert got.c0 == want.c0
-                assert set(got.cubes) == set(want.cubes)
-                for q in want.cubes:
-                    assert np.array_equal(got.e_sets[q], want.e_sets[q])
+                assert got.cubes.dtype == np.intp and got.cubes.shape == (len(got.e_sets), 2)
+                got_rows = dict(zip(map(tuple, got.cubes.tolist()), got.e_sets))
+                want_rows = dict(zip(map(tuple, want.cubes.tolist()), want.e_sets))
+                assert set(got_rows) == set(want_rows)
+                for q in want_rows:
+                    assert np.array_equal(got_rows[q], want_rows[q])
                 assert np.array_equal(sparse_operator(got, f).values,
                                       sparse_operator(want, f).values)
                 # every cube is listed after all of its ancestors
-                for k, q in enumerate(got.cubes):
-                    s, e = q.root_cell_range()
-                    for p in got.cubes[k + 1:]:
-                        ps, pe = p.root_cell_range()
+                rows = got.cubes.tolist()
+                for k, (s, e) in enumerate(rows):
+                    for ps, pe in rows[k + 1:]:
                         assert not (ps <= s and e <= pe and pe - ps > e - s)
                 doublings = int(round(np.log2(want.c0 / c0)))
                 if doublings:
