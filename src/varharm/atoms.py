@@ -126,6 +126,14 @@ def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball, seed: int) -> A
     x = d.x()[cs:ce]
     u = (x - ball.center) / ball.radius
     bump = _bump_raw(u)
+    # orthonormal polynomials of degree <= s in L^2(B, dx): modified Gram-Schmidt on
+    # u^j, two sweeps ("twice is enough"), sums of products, so no BLAS or LAPACK call
+    basis = []
+    for j in range(s + 1):
+        v = u ** j
+        for e in 2 * basis:
+            v = v - (v * e).sum() * e
+        basis.append(v / math.sqrt((v * v).sum()))
 
     from .pcg64 import Uniforms  # on first use, not when varharm.cli is imported
     rng = Uniforms(seed)  # the normals of np.random.default_rng(seed)
@@ -137,9 +145,9 @@ def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball, seed: int) -> A
             g += coeffs[2 * k + 1] * np.sin((k + 1) * math.pi * u)
         raw = g * bump
         # project out polynomials of degree <= s in L^2(B, dx)
-        basis = np.stack([u ** j for j in range(s + 1)], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, raw, rcond=None)
-        a = raw - basis @ coef
+        a = raw
+        for e in 2 * basis:
+            a = a - (a * e).sum() * e
         scale_ref = float(np.abs(raw).max(initial=0.0))
         if float(np.abs(a).max(initial=0.0)) <= 1e-12 * max(scale_ref, 1.0):
             continue

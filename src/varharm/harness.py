@@ -434,6 +434,10 @@ def _run_e3(ctx: RunContext, table: RatioTable) -> None:
     rng = _uniform_stream(cfg.seed)
     for i, r in enumerate(radii):
         center = float((-1.0 + 2.0 * rng.random()) * min(1.0, 8.0 - r))
+        # Ball.cell_range rounds each end by at most half a cell, ties included,
+        # so 2r/h >= s + 3 = 3 leaves make_atom its s + 2 cells at any centre
+        if 2.0 * r * d.cells < 3.0 * d.length:
+            continue
         ball = Ball(center, r)
         for p in ps:
             for wid, w in weights:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from varharm import (Atom, Ball, Domain1D, GridFunction, Weight, make_atom,
+from varharm import (Atom, Ball, Domain1D, GridFunction, Weight, atoms, make_atom,
                      power_weight, sgn_atom, validate_atom)
+from varharm.grid import _bump_raw
 from varharm.harness import _oscillatory_battery
 
 
@@ -56,6 +57,48 @@ def test_make_atom_validates(q, s):
     assert rep.ok, rep.issues
     # the weighted norm is pinned to the target exactly by rescaling
     assert atom.weighted_norm() == pytest.approx(atom.norm_target(), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_make_atom_projection_equals_least_squares(s):
+    # The shape is the raw sample minus its L^2(B, dx) projection on the
+    # polynomials of degree <= s: the residual of the least-squares fit by the
+    # monomials u^j, with LAPACK's lstsq as the oracle. lstsq and modified
+    # Gram-Schmidt on [basis, raw] are both backward stable, with backward error
+    # gamma = m (s + 1) u for m cells and unit roundoff u (constant c = 1), and
+    # least-squares perturbation theory puts each residual within
+    # gamma (1 + 2 kappa) ||raw||_2 of the exact one, so the two lie within twice
+    # that of each other; kappa is the 2-norm condition number of the sampled
+    # basis (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # ch. 19-20; Bjorck & Paige, SIMAX 13 (1992)).
+    d = Domain1D(-8.0, 8.0, 3072)
+    w = power_weight(0.3, d)
+    x = d.x()
+    for m in sorted({s + 2, s + 3, 7, 16, 45, 128, 301, 600}):
+        # centred on a cell edge (m even) or midpoint (m odd): exactly m cells
+        ball = Ball((m % 2) * d.h / 2, m * d.h / 2)
+        cs, ce = ball.cell_range(d)
+        assert ce - cs == m
+        u = (x[cs:ce] - ball.center) / ball.radius
+        basis = np.stack([u ** j for j in range(s + 1)], axis=1)
+        kappa = np.linalg.cond(basis)
+        for seed in (3, 20240901):
+            coeffs = np.random.default_rng(seed).standard_normal(8)
+            g = np.zeros_like(u)
+            for k in range(4):
+                g += coeffs[2 * k] * np.cos((k + 1) * math.pi * u)
+                g += coeffs[2 * k + 1] * np.sin((k + 1) * math.pi * u)
+            raw = g * _bump_raw(u)
+            ref = raw - basis @ np.linalg.lstsq(basis, raw, rcond=None)[0]
+            atom = make_atom(1.0, 2.0, s, w, ball, seed)
+            shape = atom.shape.values[cs:ce]
+            bound = 2 * m * (s + 1) * (np.finfo(float).eps / 2) * (1 + 2 * kappa)
+            assert np.linalg.norm(shape - ref) <= bound * np.linalg.norm(raw), (m, seed)
+            rep = validate_atom(atom)
+            assert rep.ok, (m, seed, rep.issues)
+            a = atom.factor * shape
+            for j, res in enumerate(atom.moment_residuals()):
+                assert res <= atoms._TOL * (np.abs(a * (x[cs:ce] - ball.center) ** j)).sum() * d.h
 
 
 def test_make_atom_deterministic():

@@ -560,6 +560,14 @@ def _checked_atom(atom, w, ball):
     return atom
 
 
+def _cell_count(d, ball):
+    try:
+        s, e = ball.cell_range(d)
+    except ValueError:  # no cell inside the domain
+        return 0
+    return e - s
+
+
 def _e3_per_case(ctx, table):
     """E3 with one variation profile per case, from the atom's values."""
     d = ctx.domain
@@ -567,6 +575,11 @@ def _e3_per_case(ctx, table):
     weights = [("lebesgue", Weight.constant(d)), ("pow+0.3", power_weight(0.3, d))]
     for i, r in enumerate(2.0 ** e for e in range(-4, 3)):
         ball = Ball(float((-1.0 + 2.0 * rng.random()) * min(1.0, 8.0 - r)), r)
+        # a radius stays when every centre E3 can draw, scanned finely, gives
+        # the s + 2 = 2 cells make_atom needs
+        m = min(1.0, 8.0 - r)
+        if min(_cell_count(d, Ball(float(c), r)) for c in np.linspace(-m, m, 4097)) < 2:
+            continue
         for p in [p for p in ctx.cfg.p_list if 0.5 < p <= 1.0] or [0.7, 1.0]:
             for wid, w in weights:
                 case = f"atom|r=2^{math.log2(r):+.0f}|p={p}|{wid}"
@@ -618,3 +631,47 @@ def test_shared_atom_profiles_match_per_case_profiles(experiment, cells):
         assert (row.case_id, row.params, row.flag) == (want.case_id, want.params, want.flag)
         for x, y in ((row.lhs, want.lhs), (row.rhs, want.rhs), (row.ratio, want.ratio)):
             assert x == y or abs(x - y) <= 1e-12 * abs(y) or (math.isnan(x) and math.isnan(y))
+
+
+@pytest.mark.parametrize("experiment", ["E3", "E7"])
+def test_atom_runs_call_no_lapack(monkeypatch, experiment):
+    # make_atom projects out the moments in array arithmetic: with numpy's
+    # LAPACK solvers refusing every call, the rows stay those of a free run
+    cfg = parse_config(f"experiment = {experiment}\ncells = 768\n")
+    want = run_experiment(cfg).rows
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("numpy.linalg called")
+
+    for name in ("lstsq", "solve", "qr", "svd", "pinv", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    got = run_experiment(cfg).rows
+    assert got and not [r.flag for r in got if r.flag.startswith("failure:")]
+    assert got == want
+
+
+@pytest.mark.parametrize("cells", [96, 192])
+def test_e3_small_grids_write_no_failure_rows(cells):
+    # radii 2^-4 and 2^-3 give balls of fewer than s + 2 = 2 cells on these
+    # grids for some centres; E3 drops them and keeps the rest
+    for seed in range(40):
+        rows = run_experiment(parse_config(f"experiment = E3\ncells = {cells}\nseed = {seed}\n")).rows
+        assert rows and not [r.flag for r in rows if r.flag.startswith("failure:")], seed
+
+
+@pytest.mark.parametrize("cells", [384, 768, 3072])
+def test_e3_keeps_every_radius_from_384_cells(cells):
+    rows = run_experiment(parse_config(f"experiment = E3\ncells = {cells}\n")).rows
+    assert [r.case_id for r in rows] == [
+        f"atom|r=2^{e:+d}|p={p}|{wid}" for e in range(-4, 3) for p in (0.7, 1.0)
+        for wid in ("lebesgue", "pow+0.3")]
+
+
+def test_e3_grid_too_coarse_for_every_radius_exits_3(tmp_path, capsys):
+    # h = 400/96 > 8/3: even r = 4 spans fewer than 3 cell widths, so E3 keeps
+    # no radius; t_max keeps a scale family at t >= 2h
+    cfgfile = tmp_path / "coarse.cfg"
+    cfgfile.write_text("experiment = E3\ncells = 96\nleft = -200\nright = 200\nt_max = 64\n")
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+    assert "leaves E3 no case to run" in capsys.readouterr().err
+    assert not (tmp_path / "E3.csv").exists()
