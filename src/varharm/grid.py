@@ -5,10 +5,13 @@ zero outside their domain (compact support model). All convolutions use
 midpoint quadrature, evaluated on one cached rFFT plan at every grid size,
 with transforms of the shortest length 2^a 3^b >= 2N - 1 (6144 at
 N = 3072); scales below twice the grid spacing are rejected to keep
-aliasing under control. The plan carries a small workspace that the
-inverse transforms run through, a block of scales at a time, so a family
-allocates only its result; the workspace makes `convolve_family` not
-reentrant (one thread at a time per plan).
+aliasing under control. Every kernel is even, so the plan samples it
+circularly about offset 0 and keeps its spectrum as one real row. The plan
+carries a small workspace that the spectra are built in and the inverse
+transforms run through, a block of scales at a time, so neither the build
+nor a family allocates a stack of the whole family beyond what it keeps or
+returns; the workspace makes `convolve_family` not reentrant (one thread
+at a time per plan).
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ class Domain1D:
     @property
     def length(self) -> float:
         return self.right - self.left
+
+    @property
+    def midpoint(self) -> float:
+        return 0.5 * (self.left + self.right)
 
     def x(self) -> np.ndarray:
         """Cell midpoints x_i = left + (i + 1/2) h."""
@@ -272,34 +279,55 @@ def _fft_length(cells: int) -> int:
 
 
 # bytes of real transform output per block of scales: 5 rows at N = 3072, 21
-# at N = 768. The plan keeps its block buffers, so a call allocates (and the
-# OS faults in) only its (m, N) result, not two temporaries of the whole family
+# at N = 768. The plan keeps its block buffers, so neither its build nor a
+# call allocates (and the OS faults in) a temporary of the whole family
 _BLOCK_BYTES = 1 << 18
 
 
 @lru_cache(maxsize=8)
 def _kernel_spectra(kernel: KernelSpec, scales: tuple,
                     domain: Domain1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The plan of one (kernel, scales, domain): the read-only stack of kernel
-    spectra, one row per scale, and the block workspace, one complex and one
-    real buffer of `rows` rows that every call on the plan overwrites."""
-    size = _fft_length(domain.cells)
-    spectra = np.fft.rfft(_kernel_samples(kernel, scales, domain), n=size, axis=-1)
-    spectra.flags.writeable = False
+    """The plan of one (kernel, scales, domain): the read-only (m, L/2 + 1)
+    float64 stack of kernel spectra, one row per scale, and the block
+    workspace, one complex and one real buffer of `rows` rows that every
+    call on the plan overwrites.
+
+    A row of the real buffer holds phi_t(d h) at index d for the offsets
+    d = 0 .. N-1 and its mirror at L - d, zeros in between: a real even
+    sequence, whose DFT is real (Oppenheim & Schafer, Discrete-Time Signal
+    Processing, 3rd ed., sec. 8.6), so the plan keeps the real part of each
+    rfft and drops an imaginary part of round-off. The rows are transformed
+    a block at a time through the workspace."""
+    n = domain.cells
+    size = _fft_length(n)
     rows = min(len(scales), max(1, _BLOCK_BYTES // (8 * size)))
-    return spectra, np.empty((rows, spectra.shape[1]), complex), np.empty((rows, size))
+    prod = np.empty((rows, size // 2 + 1), complex)
+    full = np.zeros((rows, size))
+    spectra = np.empty((len(scales), size // 2 + 1))
+    diffs = np.arange(n) * domain.h
+    for s in range(0, len(scales), rows):
+        k = min(rows, len(scales) - s)
+        for row, t in zip(full[:k], scales[s:s + k]):
+            row[:n] = eval_kernel_dilated(kernel, t, diffs)
+            row[size - n + 1:] = row[n - 1:0:-1]
+        np.fft.rfft(full[:k], axis=-1, out=prod[:k])
+        spectra[s:s + k] = prod[:k].real
+    spectra.flags.writeable = False
+    return spectra, prod, full
 
 
 def convolve_family(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
                     method: str = "fft") -> np.ndarray:
     """Matrix of shape (N, m): column k holds phi_{t_k} * f.
 
-    method: "fft" (one rFFT of f, then per block of scales the product with
-    the cached kernel spectra and one inverse transform, both into the
-    plan's workspace; each row's arithmetic is that of one transform of the
-    whole family) or "direct" (exact summation, scale by scale, kept as the
-    reference the FFT path is tested against; the two agree up to
-    round-off). Not reentrant: calls on one plan share its workspace.
+    method: "fft" (one rFFT of f, then per block of scales the product of
+    its spectrum with the cached real kernel spectra and one inverse
+    transform, both into the plan's workspace; outputs 0 .. N-1 of the
+    circular convolution are the family, and each row's arithmetic is that
+    of one transform of the whole family) or "direct" (exact summation,
+    scale by scale, kept as the reference the FFT path is tested against;
+    the two agree up to round-off). Not reentrant: calls on one plan share
+    its workspace.
     """
     d = f.domain
     n = d.cells
@@ -319,7 +347,7 @@ def convolve_family(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
             k = min(len(full), len(ts) - s)
             np.multiply(spectra[s:s + k], spectrum, out=prod[:k])
             np.fft.irfft(prod[:k], n=size, axis=-1, out=full[:k])
-            np.multiply(d.h, full[:k, n - 1:2 * n - 1], out=result[s:s + k])
+            np.multiply(d.h, full[:k, :n], out=result[s:s + k])
         return result.T
     raise ValueError(f"unknown convolution method {method!r}")
 

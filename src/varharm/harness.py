@@ -35,6 +35,11 @@ _RHO_MAX = 64.0  # above it |difference|^rho underflows: E7 writes lhs = 0 at rh
 _MAX_FINEST_CELLS = 65536  # the finest grid, cells * 2**refine, a run may allocate
 _MAX_ENTRIES = 1 << 22  # floats (32 MB) in one battery or scale stack on the finest grid
 _UNSET = object()  # no value stored yet, in RunContext.once
+# E7's balls and the balls of its rhs norm, as (offset of the centre from the
+# domain's midpoint, radius); a domain that cannot hold them all fails validate
+_E7_BALLS = ((0.0, 1.0), (-2.0, 0.5), (1.0, 2.0))
+_E7_NORM_BALLS = tuple((c, r) for c in (-4.0, -2.0, 0.0, 2.0, 4.0) for r in (0.25, 0.5, 1.0, 2.0))
+_E7_REACH = max(abs(c) + r for c, r in _E7_BALLS + _E7_NORM_BALLS)  # 6
 
 
 class ConfigError(ValueError):
@@ -73,6 +78,8 @@ class ExperimentConfig:
             raise ConfigError("domain requires left < right")
         if self.cells < 16 or (3 * self.cells) % 2 != 0:
             raise ConfigError("cells must be >= 16 with 3N even for the lattices")
+        if self.experiment == "E7" and self.right - self.left < 2.0 * _E7_REACH:
+            raise ConfigError(f"E7 needs right - left >= {2.0 * _E7_REACH:g} to hold its balls")
         if self.refine < 0:
             raise ConfigError("refine must be nonnegative")
         # cells * 2**refine > cap, without building 2**refine for a huge refine
@@ -432,11 +439,14 @@ def _run_e3(ctx: RunContext, table: RatioTable) -> None:
     lebesgue = Weight.constant(d)
     weights = [("lebesgue", lebesgue), ("pow+0.3", power_weight(0.3, d))]
     rng = _uniform_stream(cfg.seed)
+    half = 0.5 * d.length
     for i, r in enumerate(radii):
-        center = float((-1.0 + 2.0 * rng.random()) * min(1.0, 8.0 - r))
+        # within 1 of the midpoint, the ball inside the domain
+        center = d.midpoint + float((-1.0 + 2.0 * rng.random()) * min(1.0, half - r))
         # Ball.cell_range rounds each end by at most half a cell, ties included,
-        # so 2r/h >= s + 3 = 3 leaves make_atom its s + 2 cells at any centre
-        if 2.0 * r * d.cells < 3.0 * d.length:
+        # so 2r/h >= s + 3 = 3 leaves make_atom its s + 2 cells at any centre;
+        # a ball wider than the domain does not fit at all
+        if r > half or 2.0 * r * d.cells < 3.0 * d.length:
             continue
         ball = Ball(center, r)
         for p in ps:
@@ -527,9 +537,8 @@ def _run_e7(ctx: RunContext, table: RatioTable) -> None:
     rng = _uniform_stream(cfg.seed)
     bs = _oscillatory_battery(d, 4, rng)
     lebesgue = Weight.constant(d)
-    balls = [Ball(0.0, 1.0), Ball(-2.0, 0.5), Ball(1.0, 2.0)]
-    norm_balls = tuple(Ball(c, r) for c in (-4.0, -2.0, 0.0, 2.0, 4.0)
-                       for r in (0.25, 0.5, 1.0, 2.0))
+    balls = [Ball(d.midpoint + c, r) for c, r in _E7_BALLS]
+    norm_balls = tuple(Ball(d.midpoint + c, r) for c, r in _E7_NORM_BALLS)
     for a in [a for a in cfg.weight_params if -1.0 < a <= 0.0] or [0.0]:
         for ball in balls:
             params = {"power": a, "center": ball.center, "radius": ball.radius}

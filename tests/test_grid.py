@@ -5,6 +5,7 @@ import math
 import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,10 +174,78 @@ def test_convolve_family_blocks_equal_one_transform(cells, count):
     size, n = grid._fft_length(cells), cells
     for kind in ("gaussian-heat", "poisson"):
         k = KernelSpec(kind)
-        spectra = np.fft.rfft(grid._kernel_samples(k, fam.scales, d), n=size, axis=-1)
+        spectra = np.fft.rfft(_wrapped_samples(k, fam.scales, d), axis=-1).real
         full = np.fft.irfft(spectra * np.fft.rfft(f.values, n=size), n=size, axis=-1)
-        expect = (d.h * full[:, n - 1:2 * n - 1]).T
+        expect = (d.h * full[:, :n]).T
         assert np.array_equal(convolve_family(f, k, fam), expect)
+
+
+def _wrapped_samples(kernel, scales, d):
+    """The linear samples of _kernel_samples laid out circularly in rows of
+    the transform length L: offset d >= 0 at index d, d < 0 at L + d."""
+    n, size = d.cells, grid._fft_length(d.cells)
+    linear = grid._kernel_samples(kernel, scales, d)
+    out = np.zeros((len(scales), size))
+    out[:, :n] = linear[:, n - 1:]
+    out[:, size - n + 1:] = linear[:, :n - 1]
+    return out
+
+
+# 122 takes the odd length 243 = 2N - 1, which leaves no zeros between a row's
+# samples and their mirror
+@pytest.mark.parametrize("cells", [96, 122, 768, 1100, 3072])
+def test_kernel_spectra_are_the_real_parts_of_the_wrapped_rows(cells):
+    # the plan is a read-only float64 (m, L/2 + 1) stack, each row the real
+    # part of the rfft of its kernel's circular samples, bit for bit; the
+    # imaginary part it drops is round-off. The exact DFT of a real even
+    # sequence is real, so |Im| is at most the FFT's error norm: Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2,
+    # ||y^ - y||_2 <= p eta / (1 - p eta) ||y||_2 for p radix-2 passes, with
+    # eta = mu + gamma_4 (sqrt 2 + mu) and twiddles within mu = u of exact.
+    # A radix-3 pass of L = 2^a 3^b counts as two radix-2 passes, so p = a + 2b,
+    # and ||y||_2 = sqrt(L) ||x||_2
+    d = Domain1D(-8.0, 8.0, cells)
+    fam = ScaleFamily.for_domain(d)
+    size = grid._fft_length(cells)
+    a = (size & -size).bit_length() - 1
+    p = a + 2 * round(math.log(size >> a, 3))
+    u = np.finfo(float).eps / 2
+    eta = u + 4 * u / (1 - 4 * u) * (math.sqrt(2.0) + u)
+    rel = p * eta / (1 - p * eta)
+    for kind in KERNEL_KINDS:
+        k = KernelSpec(kind)
+        spectra = grid._kernel_spectra(k, fam.scales, d)[0]
+        assert spectra.dtype == np.float64
+        assert spectra.shape == (len(fam), size // 2 + 1)
+        assert not spectra.flags.writeable
+        wrapped = _wrapped_samples(k, fam.scales, d)
+        exact = np.fft.rfft(wrapped, axis=-1)
+        assert np.array_equal(spectra, exact.real)
+        bound = rel * math.sqrt(size) * np.sqrt((wrapped * wrapped).sum(axis=-1))
+        assert np.all(np.abs(exact.imag).max(axis=-1) <= bound)
+
+
+@pytest.mark.parametrize("cells", [96, 768, 3072])
+def test_kernel_spectra_build_allocates_little_beyond_what_it_keeps(cells):
+    # the plan is built a block of scales at a time in its own workspace: no
+    # (m, 2N - 1) sample stack and no padded copy of it. What the build may
+    # allocate beyond the arrays it keeps is the offsets d h and the
+    # temporaries of one kernel evaluation over them: at most 8 arrays of N
+    # float64, plus 16 KiB of small objects. A stack of the whole family's
+    # samples alone would take 37 * 6143 * 8 bytes, 1.7 MiB, at N = 3072
+    d = Domain1D(-8.0, 8.0, cells)
+    fam = ScaleFamily.for_domain(d)
+    build = grid._kernel_spectra.__wrapped__
+    for kind in KERNEL_KINDS:
+        k = KernelSpec(kind)
+        build(k, fam.scales, d)  # first calls of numpy's FFT set up caches
+        tracemalloc.start()
+        try:
+            plan = build(k, fam.scales, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(a.nbytes for a in plan) + 8 * 8 * cells + (16 << 10)
 
 
 def test_convolve_family_result_does_not_alias_the_workspace():

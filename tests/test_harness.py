@@ -675,3 +675,31 @@ def test_e3_grid_too_coarse_for_every_radius_exits_3(tmp_path, capsys):
     assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
     assert "leaves E3 no case to run" in capsys.readouterr().err
     assert not (tmp_path / "E3.csv").exists()
+
+
+@pytest.mark.parametrize("experiment", ["E3", "E7"])
+def test_atom_balls_sit_about_the_domain_midpoint(experiment):
+    # on [0, 16) the balls are those of the default [-8, 8) moved by 8, so
+    # every one lies inside the domain
+    for seed in range(8):
+        cfg = parse_config(f"experiment = {experiment}\nleft = 0\nright = 16\n"
+                           f"cells = 768\nseed = {seed}\n")
+        rows = run_experiment(cfg).rows
+        assert rows and not [r.flag for r in rows if r.flag.startswith("failure:")], seed
+
+
+def test_e3_drops_radii_wider_than_the_domain():
+    rows = run_experiment(parse_config("experiment = E3\nleft = 0\nright = 4\ncells = 768\n")).rows
+    assert sorted({r.params["radius"] for r in rows}) == [2.0 ** e for e in range(-4, 2)]
+    assert not [r.flag for r in rows if r.flag]
+
+
+def test_e7_domain_too_short_for_its_balls_exits_3(tmp_path, capsys):
+    # E7's norm balls reach 6 either side of the midpoint
+    cfgfile = tmp_path / "short.cfg"
+    cfgfile.write_text("experiment = E7\ncells = 768\nleft = 0\nright = 11.5\n")
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+    assert "E7 needs right - left >= 12" in capsys.readouterr().err
+    assert not (tmp_path / "E7.csv").exists()
+    cfgfile.write_text("experiment = E7\ncells = 768\nleft = 0\nright = 12\n")
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
