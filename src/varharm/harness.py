@@ -78,8 +78,8 @@ class ExperimentConfig:
             raise ConfigError("domain requires left < right")
         if self.cells < 16 or (3 * self.cells) % 2 != 0:
             raise ConfigError("cells must be >= 16 with 3N even for the lattices")
-        if self.experiment == "E7" and self.right - self.left < 2.0 * _E7_REACH:
-            raise ConfigError(f"E7 needs right - left >= {2.0 * _E7_REACH:g} to hold its balls")
+        if self.experiment == "E7":
+            self._check_e7_balls()
         if self.refine < 0:
             raise ConfigError("refine must be nonnegative")
         # cells * 2**refine > cap, without building 2**refine for a huge refine
@@ -107,6 +107,23 @@ class ExperimentConfig:
             self.scales()
         except ValueError as exc:
             raise ConfigError(f"no usable scale family at t >= 2h: {exc}") from None
+
+    def _check_e7_balls(self) -> None:
+        """E7's balls must lie in the domain, each norm ball must have a cell by
+        Ball.cell_range, and each atom ball the s + 2 = 2 cells make_atom needs
+        at s = 0, or their cases fail."""
+        if self.right - self.left < 2.0 * _E7_REACH:
+            raise ConfigError(f"E7 needs right - left >= {2.0 * _E7_REACH:g} to hold its balls")
+        d = self.domain()
+        for (c, r), need in [(b, 2) for b in _E7_BALLS] + [(b, 1) for b in _E7_NORM_BALLS]:
+            ball = Ball(d.midpoint + c, r)
+            try:
+                s, e = ball.cell_range(d)
+            except ValueError:
+                s = e = 0
+            if e - s < need:
+                raise ConfigError(f"E7's ball of centre {ball.center:g} and radius {r:g} "
+                                  f"needs {need} cell(s) and has {e - s} on this grid")
 
     def domain(self) -> Domain1D:
         return Domain1D(self.left, self.right, self.cells)

@@ -22,6 +22,11 @@ import numpy as np
 from .grid import (GridFunction, KernelSpec, ScaleFamily, convolve_family,
                    eval_kernel_dilated)
 
+# bytes of vals + best in one chunk of the batched DP's columns: 655 columns
+# at k = 25 turning points. The whole family's would hold 1.2-1.8 MB at
+# N = 3072, the largest buffers of a variation or commutator call
+_DP_BYTES = 1 << 18
+
 
 def _variation_dp_full(a: np.ndarray, rho: float) -> np.ndarray:
     """Exact variation along the last axis of a by the DP over every index;
@@ -80,7 +85,11 @@ def _variation_dp_batch(a: np.ndarray, rho: float) -> np.ndarray:
     _turns keeps the last entry of each such run, equal to its first. With
     k = 2 or 3 turning points the DP is written out (_dp_short); the other
     sequences are sorted by k, most first, so step i of the DP runs over the
-    prefix of those with k > i: sum(k^2)/2 pairs in all.
+    prefix of those with k > i: sum(k^2)/2 pairs in all. They run through
+    _dp_chunk in chunks of consecutive sequences of that order: at least one,
+    and as many as keep the chunk's vals and best, (k, columns) floats each,
+    within _DP_BYTES. A sequence takes the same operations in whichever chunk
+    it falls, so its bits do not depend on the chunking.
     """
     shape, m = a.shape[:-1], a.shape[-1]
     if m < 2 or a.size == 0:
@@ -100,13 +109,29 @@ def _variation_dp_batch(a: np.ndarray, rho: float) -> np.ndarray:
         return out.reshape(shape)
     c = c[np.argsort(-k[c], kind="stable")]
     k = k[c]
+    # a chunk at a time, so that its vals + best take at most _DP_BYTES: the
+    # order is descending, so k[s] is the largest k of the chunk from s
+    s = 0
+    while s < len(c):
+        e = s + max(1, _DP_BYTES // (16 * k[s]))
+        out[c[s:e]] = _dp_chunk(rho, a, turn, c[s:e], k[s:e])
+        s = e
+    return out.reshape(shape)
+
+
+def _dp_chunk(rho: float, a: np.ndarray, turn: np.ndarray, c: np.ndarray,
+              k: np.ndarray) -> np.ndarray:
+    """The DP of _variation_dp_batch on the columns c of a (m, n), whose
+    turning-point counts k are sorted with the most first; returns their
+    variations in the order of c."""
+    m = len(a)
     keep = np.empty((len(c), m), dtype=bool)
     keep[:, 0] = keep[:, -1] = True
     keep[:, 1:-1] = turn.T[c]
     # the flat indices j * m + i of the kept points, made into i * n + c[j] in
     # place: each index array is freed before the next one, or the DP's, grows
     idx = np.flatnonzero(keep)
-    del turn, keep
+    del keep
     j = idx // m
     idx -= j * m
     idx *= a.shape[1]
@@ -128,8 +153,7 @@ def _variation_dp_batch(a: np.ndarray, rho: float) -> np.ndarray:
         inc **= rho
         inc += best[:i, :n]
         best[i, :n] = inc.max(axis=0)
-    out[c] = best.max(axis=0) ** (1.0 / rho)
-    return out.reshape(shape)
+    return best.max(axis=0) ** (1.0 / rho)
 
 
 def _dp_short(rho: float, a0, a1, a2=None) -> np.ndarray:

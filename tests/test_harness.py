@@ -703,3 +703,24 @@ def test_e7_domain_too_short_for_its_balls_exits_3(tmp_path, capsys):
     assert not (tmp_path / "E7.csv").exists()
     cfgfile.write_text("experiment = E7\ncells = 768\nleft = 0\nright = 12\n")
     assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("cells, ball", [(16, "centre -2 and radius 0.5 needs 2 cell(s) and has 0"),
+                                         (32, "centre -4 and radius 0.25 needs 1 cell(s) and has 0")])
+def test_e7_grid_too_coarse_for_its_balls_exits_3(tmp_path, capsys, cells, ball):
+    # h = 1 and 0.5: an atom ball keeps fewer than the 2 cells make_atom needs,
+    # or a norm ball of radius 0.25 none, which would fail every case
+    cfgfile = tmp_path / "coarse.cfg"
+    cfgfile.write_text(f"experiment = E7\ncells = {cells}\n")
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+    assert f"E7's ball of {ball} on this grid" in capsys.readouterr().err
+    assert not (tmp_path / "E7.csv").exists()
+
+
+@pytest.mark.parametrize("cells", [34, 48])
+def test_e7_grid_fine_enough_for_its_balls_writes_no_failure_rows(tmp_path, cells):
+    cfgfile = tmp_path / "fine.cfg"
+    cfgfile.write_text(f"experiment = E7\ncells = {cells}\n")
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "E7.csv").read_text().splitlines()
+    assert len(rows) > 1 and not [r for r in rows if "failure:" in r]

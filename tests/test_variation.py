@@ -14,7 +14,7 @@ from varharm import (Ball, Domain1D, GridFunction, KernelSpec, ScaleFamily,
                      variation_operator)
 from varharm.grid import KERNEL_KINDS
 from varharm.harness import battery_generate
-from varharm.variation import (_NOISE_FLOOR, _turns,
+from varharm.variation import (_DP_BYTES, _NOISE_FLOOR, _turns,
                                _variation_dp_batch, _variation_dp_full,
                                _zero_noise)
 
@@ -243,6 +243,33 @@ def test_variation_dp_batch_equals_full_dp_on_fft_families(cells):
                                       _variation_dp_full(convs, rho))
 
 
+def test_variation_dp_batch_chunks_join_exactly():
+    # enough sequences with k > 3 for at least three chunks of the DP, runs of
+    # equal k across chunk boundaries, k = m, and NaN and infinite columns
+    m = 37
+    rng = np.random.default_rng(71)
+    per_k = {37: 500, 30: 160, 21: 320, 9: 100, 4: 40, 3: 20, 2: 20}
+    rows = np.concatenate([_rows_with_turns(rng, m, k, n) for k, n in per_k.items()])
+    rows[[3, 250], [0, m - 1]] = np.nan
+    rows[[5, 700, 1000], [4, m // 2, 0]] = np.inf, -np.inf, np.inf
+    rng.shuffle(rows)
+    # the chunks of _variation_dp_batch over the sorted k > 3 sequences
+    k = np.sort(_turns(np.ascontiguousarray(rows.T)).sum(axis=0) + 2)[::-1]
+    k = k[k > 3]
+    starts = [0]
+    while starts[-1] < len(k):
+        starts.append(starts[-1] + max(1, _DP_BYTES // (16 * k[starts[-1]])))
+    inner = starts[1:-1]
+    assert len(inner) >= 2
+    assert any(k[e - 1] == k[e] for e in inner) and k[0] == m
+    for rho in (1.5, 3.0):
+        with np.errstate(invalid="ignore"):
+            want = _variation_dp_full(rows, rho)
+            for a in (rows, np.asfortranarray(rows)):
+                got = _variation_dp_batch(a, rho)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _traced_peak(fn, *args) -> int:
     tracemalloc.start()
     try:
@@ -262,6 +289,25 @@ def test_variation_dp_batch_memory_stays_near_full_dp():
         assert convs.shape == (3072, 37) and convs.flags.f_contiguous
         full = _traced_peak(_variation_dp_full, convs, 3.0)
         assert _traced_peak(_variation_dp_batch, convs, 3.0) <= 1.25 * full
+
+
+def test_variation_dp_batch_allocates_one_chunk_beyond_the_turning_points():
+    # every column of this F-ordered (3072, 37) family has k = 37 turning
+    # points, the worst case. Beyond its input the DP may hold _turns' bool
+    # masks (rise, flat, turn: under m n bytes each), one chunk's vals + best
+    # (_DP_BYTES) and three int64 arrays over the chunk's points (the flat
+    # indices, their columns and one product of them), plus the per-column
+    # k, out, order and index arrays and 16 KiB of small objects. vals and
+    # best for the whole family alone would take 2 * 37 * 3072 * 8 bytes,
+    # 1.8 MB
+    m, n = 37, 3072
+    rng = np.random.default_rng(72)
+    a = np.asfortranarray((-1.0) ** np.arange(m) * (1.0 + rng.random((n, m))))
+    assert np.all(_turns(np.ascontiguousarray(a.T)).sum(axis=0) == m - 2)
+    _variation_dp_batch(a, 3.0)  # first calls of numpy's loops set up caches
+    points = max(1, _DP_BYTES // (16 * m)) * m
+    bound = 3 * m * n + _DP_BYTES + 3 * 8 * points + 4 * 8 * n + (16 << 10)
+    assert _traced_peak(_variation_dp_batch, a, 3.0) <= bound
 
 
 def test_seq_variation_pointwise_bound():
