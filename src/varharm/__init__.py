@@ -2,8 +2,7 @@
 identities on weighted spaces: operators, norms, sparse domination, and a
 batch experiment harness."""
 
-from .atoms import (Atom, AtomConstructionError, AtomReport, Ball, make_atom,
-                    sgn_atom, validate_atom)
+from .atoms import Atom, AtomConstructionError, Ball, make_atom, sgn_atom
 from .grid import (Domain1D, GridFunction, KernelSpec, ResolutionError,
                    ScaleFamily, convolve, convolve_family, eval_kernel_dilated,
                    lp_norm, weak_l1_norm)
@@ -21,9 +20,9 @@ from .sparse import (DominationReport, SparseConstructionError, SparseFamily,
                      sparse_commutator, sparse_commutator_star, sparse_operator,
                      validate_sparse)
 from .variation import (VariationProfile, commutator_family,
-                        commutator_family_direct, commutator_variation,
-                        kernel_difference_variation, seq_variation_bruteforce,
-                        seq_variation_dp, variation_operator)
+                        commutator_variation, kernel_difference_variation,
+                        seq_variation_bruteforce, seq_variation_dp,
+                        variation_operator)
 from .weights import (Weight, WeightConstants, a1_constant, ainf_constant,
                       ap_constant, bloom_weight, compute_constants,
                       power_weight)

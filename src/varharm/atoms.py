@@ -1,4 +1,4 @@
-"""Weighted Hardy-space atoms: construction, validation, and the sign atom.
+"""Weighted Hardy-space atoms: construction, normalization, and the sign atom.
 
 Atoms are supported in a ball, normalized in the weighted L^q norm against
 the weighted ball measure, and orthogonal to polynomials up to the moment
@@ -10,13 +10,13 @@ Every atom is stored as its unnormalized shape and a positive factor, and
 its values are factor * shape: the shape depends on the ball (and the seed
 or b) only, the factor on (p, q, w) as well, so a positively homogeneous
 operator needs to see each shape once. The sign atom that tests the
-commutator is a (1, inf, 0)-atom like any other, and validate_atom checks it.
+commutator is a (1, inf, 0)-atom like any other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .oscillation import Ball
 from .weights import Weight
 
 _RESAMPLES = 8  # seeded candidates make_atom draws before it gives up
-_TOL = 1e-9  # relative slack of validate_atom's norm and moment checks
 
 
 class AtomConstructionError(RuntimeError):
@@ -74,38 +73,6 @@ class Atom:
         atom = replace(self, p=p, weight=w, factor=1.0)
         atom.factor = atom.norm_target() / atom.weighted_norm()
         return atom
-
-    def moment_residuals(self) -> np.ndarray:
-        """|int a (x - x_B)^j dx| for j = 0..s."""
-        d = self.shape.domain
-        s, e = self.ball.cell_range(d)
-        x = d.x()[s:e] - self.ball.center
-        a = self.factor * self.shape.values[s:e]
-        return np.array([abs((a * x ** j).sum() * d.h) for j in range(self.s + 1)])
-
-
-@dataclass
-class AtomReport:
-    ok: bool
-    issues: list = field(default_factory=list)
-
-
-def validate_atom(atom: Atom) -> AtomReport:
-    issues = []
-    d = atom.shape.domain
-    s, e = atom.ball.cell_range(d)
-    vals = atom.values.values
-    if np.any(vals[:s]) or np.any(vals[e:]):
-        issues.append("support leaks outside the ball")
-    target = atom.norm_target()
-    norm = atom.weighted_norm()
-    if norm > target * (1.0 + _TOL):
-        issues.append(f"weighted norm {norm} exceeds target {target}")
-    l1 = float(np.abs(vals).sum() * d.h)
-    for j, res in enumerate(atom.moment_residuals()):
-        if res > _TOL * l1 * atom.ball.radius ** j:
-            issues.append(f"moment {j} residual {res} too large")
-    return AtomReport(ok=not issues, issues=issues)
 
 
 def make_atom(p: float, q: float, s: int, w: Weight, ball: Ball, seed: int) -> Atom:

@@ -96,9 +96,6 @@ class GridFunction:
     def zero(cls, domain: Domain1D) -> "GridFunction":
         return cls(domain, np.zeros(domain.cells))
 
-    def same_domain(self, other: "GridFunction") -> bool:
-        return self.domain == other.domain
-
     def to_csv(self, path) -> None:
         x = self.domain.x()
         with open(path, "w", newline="") as fh:

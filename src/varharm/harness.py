@@ -78,6 +78,11 @@ class ExperimentConfig:
             raise ConfigError("domain requires left < right")
         if self.cells < 16 or (3 * self.cells) % 2 != 0:
             raise ConfigError("cells must be >= 16 with 3N even for the lattices")
+        if self.experiment == "E6":
+            qs, qe = _witness_geometry(self.cells)
+            if qe > self.cells:
+                raise ConfigError(f"E6's witness cube cells [{qs}, {qe}) leave "
+                                  f"a grid of {self.cells} cells")
         if self.experiment == "E7":
             self._check_e7_balls()
         if self.refine < 0:

@@ -177,7 +177,7 @@ def bmo_nu_equivalence(b: GridFunction, nu: Weight, ranges,
 
 
 class WitnessPlacementError(ValueError):
-    """The companion cube P falls outside the computational domain."""
+    """The cube Q or its companion P falls outside the computational domain."""
 
 
 @dataclass
@@ -209,6 +209,8 @@ def oscillation_witness(b: GridFunction, q_range: tuple[int, int], tau: float,
     kq = qe - qs
     if kq <= 0:
         raise ValueError("empty witness cube")
+    if qs < 0 or qe > d.cells:
+        raise WitnessPlacementError(f"witness cube cells [{qs}, {qe}) leave the domain")
     n_tilde = tau * kq
     if abs(n_tilde - round(n_tilde)) > 1e-9 or int(round(n_tilde)) % 2 != 0:
         raise ValueError(f"tau |Q| = {n_tilde} must be an even cell count")

@@ -135,7 +135,7 @@ def sparse_commutator(family: SparseFamily, b: GridFunction,
                       f: GridFunction) -> GridFunction:
     """T_{S,b} f(x) = sum_Q |b(x) - <b>_Q| <|f|>_Q chi_Q(x), with <b>_Q taken
     over the cells of Q inside the domain, where b lives."""
-    if not b.same_domain(f):
+    if b.domain != f.domain:
         raise ValueError("b and f must share a domain")
     return _sum_over_cubes(family, f, lambda s, e, w: (
         np.abs(_recentred(b.values[s:e])) * (np.abs(f.values[s:e]).sum() / w)))
@@ -144,7 +144,7 @@ def sparse_commutator(family: SparseFamily, b: GridFunction,
 def sparse_commutator_star(family: SparseFamily, b: GridFunction,
                            f: GridFunction) -> GridFunction:
     """T*_{S,b} f(x) = sum_Q <|(b - <b>_Q) f|>_Q chi_Q(x)."""
-    if not b.same_domain(f):
+    if b.domain != f.domain:
         raise ValueError("b and f must share a domain")
     return _sum_over_cubes(family, f, lambda s, e, w: (
         np.abs(_recentred(b.values[s:e]) * f.values[s:e]).sum() / w))

@@ -5,9 +5,8 @@ equals the maximum over index subsequences, which a quadratic dynamic
 program computes exactly. For rho >= 1 an optimal subsequence visits only
 the ends and the strict local extrema of the sequence (Butkus & Norvaisa,
 "Computation of p-variation", Lith. Math. J. 58 (2018)), so the batched DP
-runs on those turning points alone, with the same arithmetic, written out in
-closed form for sequences with two or three of them; the DP over every
-index stays as its exactness oracle and as the 1-D path. A
+runs on those turning points alone, with the same arithmetic; the DP over
+every index stays as its exactness oracle and as the 1-D path. A
 brute-force enumeration over all subsequences serves as the independent
 oracle for short inputs. The variation and commutator operators zero the
 FFT round-off of their family before the DP (_zero_noise).
@@ -19,8 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (GridFunction, KernelSpec, ScaleFamily, convolve_family,
-                   eval_kernel_dilated)
+from .grid import GridFunction, KernelSpec, ScaleFamily, convolve_family
 
 # bytes of vals + best in one chunk of the batched DP's columns: 655 columns
 # at k = 25 turning points. The whole family's would hold 1.2-1.8 MB at
@@ -82,14 +80,14 @@ def _variation_dp_batch(a: np.ndarray, rho: float) -> np.ndarray:
     subtract, abs, power, add and max as in the full DP, and the tests check
     the two for exact equality.
 
-    _turns keeps the last entry of each such run, equal to its first. With
-    k = 2 or 3 turning points the DP is written out (_dp_short); the other
-    sequences are sorted by k, most first, so step i of the DP runs over the
-    prefix of those with k > i: sum(k^2)/2 pairs in all. They run through
-    _dp_chunk in chunks of consecutive sequences of that order: at least one,
-    and as many as keep the chunk's vals and best, (k, columns) floats each,
-    within _DP_BYTES. A sequence takes the same operations in whichever chunk
-    it falls, so its bits do not depend on the chunking.
+    _turns keeps the last entry of each such run, equal to its first. The
+    sequences are sorted by their count k of turning points, most first, so
+    step i of the DP runs over the prefix of those with k > i: sum(k^2)/2
+    pairs in all. They run through _dp_chunk in chunks of consecutive
+    sequences of that order: at least one, and as many as keep the chunk's
+    vals and best, (k, columns) floats each, within _DP_BYTES. A sequence
+    takes the same operations in whichever chunk it falls, so its bits do
+    not depend on the chunking.
     """
     shape, m = a.shape[:-1], a.shape[-1]
     if m < 2 or a.size == 0:
@@ -98,17 +96,9 @@ def _variation_dp_batch(a: np.ndarray, rho: float) -> np.ndarray:
     a = np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(m, -1)
     turn = _turns(a)
     k = turn.sum(axis=0) + 2
-    out = np.empty(a.shape[1])
-    c = np.flatnonzero(k == 2)
-    out[c] = _dp_short(rho, a[0, c], a[-1, c])
-    i, j = np.nonzero(turn[:, k == 3])
-    c = np.flatnonzero(k == 3)[j]
-    out[c] = _dp_short(rho, a[0, c], a[i + 1, c], a[-1, c])
-    c = np.flatnonzero(k > 3)
-    if len(c) == 0:
-        return out.reshape(shape)
-    c = c[np.argsort(-k[c], kind="stable")]
+    c = np.argsort(-k, kind="stable")
     k = k[c]
+    out = np.empty(len(c))
     # a chunk at a time, so that its vals + best take at most _DP_BYTES: the
     # order is descending, so k[s] is the largest k of the chunk from s
     s = 0
@@ -154,17 +144,6 @@ def _dp_chunk(rho: float, a: np.ndarray, turn: np.ndarray, c: np.ndarray,
         inc += best[:i, :n]
         best[i, :n] = inc.max(axis=0)
     return best.max(axis=0) ** (1.0 / rho)
-
-
-def _dp_short(rho: float, a0, a1, a2=None) -> np.ndarray:
-    """The DP of _variation_dp_batch on the sequences (a0, a1) or (a0, a1, a2),
-    with its operations in its order: the pair sums |a_i - a_j|^rho + best_i,
-    their max, the root. best_0 = 0 adds nothing to a power, which is >= +0."""
-    d01 = np.abs(a0 - a1) ** rho
-    if a2 is None:
-        return d01 ** (1.0 / rho)
-    d12 = np.abs(a1 - a2) ** rho + d01
-    return np.maximum(d01, np.maximum(np.abs(a0 - a2) ** rho, d12)) ** (1.0 / rho)
 
 
 # sqrt(3 * 17) eps for three FFTs of at most log2 L <= 17 passes; see _zero_noise
@@ -269,7 +248,7 @@ def commutator_family(f: GridFunction, b: GridFunction, kernel: KernelSpec,
     conv_f: convolve_family(f, kernel, scales), when the caller already holds
     it (several b's with one f); the result is the same to the bit.
     """
-    if not f.same_domain(b):
+    if f.domain != b.domain:
         raise ValueError("f and b must share a domain")
     # recentering b leaves the commutator unchanged but makes the
     # constant-b case cancel bit-exactly
@@ -288,18 +267,6 @@ def commutator_family(f: GridFunction, b: GridFunction, kernel: KernelSpec,
         np.multiply(b0[:, None], conv_f[:, s:s + 8], out=t)
         np.subtract(t, conv_bf[:, s:s + 8], out=conv_bf[:, s:s + 8])
     return conv_bf
-
-
-def commutator_family_direct(f: GridFunction, b: GridFunction, kernel: KernelSpec,
-                             t: float) -> np.ndarray:
-    """Slow per-pair assembly h sum_j phi_t(x_i - x_j)(b(x_i) - b(x_j)) f(x_j)."""
-    if not f.same_domain(b):
-        raise ValueError("f and b must share a domain")
-    d = f.domain
-    x = d.x()
-    kmat = eval_kernel_dilated(kernel, t, x[:, None] - x[None, :])
-    diff = b.values[:, None] - b.values[None, :]
-    return d.h * (kmat * diff * f.values[None, :]).sum(axis=1)
 
 
 def commutator_variation(f: GridFunction, b: GridFunction, kernel: KernelSpec,

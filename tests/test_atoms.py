@@ -1,12 +1,49 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from varharm import (Atom, Ball, Domain1D, GridFunction, Weight, atoms, make_atom,
-                     power_weight, sgn_atom, validate_atom)
+from varharm import (Atom, Ball, Domain1D, GridFunction, Weight, make_atom,
+                     power_weight, sgn_atom)
 from varharm.grid import _bump_raw
 from varharm.harness import _oscillatory_battery
+
+_TOL = 1e-9  # relative slack of validate_atom's norm and moment checks
+
+
+def moment_residuals(atom: Atom) -> np.ndarray:
+    """|int a (x - x_B)^j dx| for j = 0..s."""
+    d = atom.shape.domain
+    s, e = atom.ball.cell_range(d)
+    x = d.x()[s:e] - atom.ball.center
+    a = atom.factor * atom.shape.values[s:e]
+    return np.array([abs((a * x ** j).sum() * d.h) for j in range(atom.s + 1)])
+
+
+@dataclass
+class AtomReport:
+    ok: bool
+    issues: list = field(default_factory=list)
+
+
+def validate_atom(atom: Atom) -> AtomReport:
+    """The atom's support, weighted norm and moments against the definition."""
+    issues = []
+    d = atom.shape.domain
+    s, e = atom.ball.cell_range(d)
+    vals = atom.values.values
+    if np.any(vals[:s]) or np.any(vals[e:]):
+        issues.append("support leaks outside the ball")
+    target = atom.norm_target()
+    norm = atom.weighted_norm()
+    if norm > target * (1.0 + _TOL):
+        issues.append(f"weighted norm {norm} exceeds target {target}")
+    l1 = float(np.abs(vals).sum() * d.h)
+    for j, res in enumerate(moment_residuals(atom)):
+        if res > _TOL * l1 * atom.ball.radius ** j:
+            issues.append(f"moment {j} residual {res} too large")
+    return AtomReport(ok=not issues, issues=issues)
 
 
 def test_manual_sign_atom_validates():
@@ -97,8 +134,8 @@ def test_make_atom_projection_equals_least_squares(s):
             rep = validate_atom(atom)
             assert rep.ok, (m, seed, rep.issues)
             a = atom.factor * shape
-            for j, res in enumerate(atom.moment_residuals()):
-                assert res <= atoms._TOL * (np.abs(a * (x[cs:ce] - ball.center) ** j)).sum() * d.h
+            for j, res in enumerate(moment_residuals(atom)):
+                assert res <= _TOL * (np.abs(a * (x[cs:ce] - ball.center) ** j)).sum() * d.h
 
 
 def test_make_atom_deterministic():

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import varharm
 from varharm import (Ball, Domain1D, GridFunction, RatioTable, Weight,
-                     battery_generate, cal_bmo_omega_norm, harness, lp_norm, make_atom,
-                     parse_config, power_weight, run_experiment, sgn_atom)
+                     WitnessPlacementError, battery_generate, cal_bmo_omega_norm,
+                     harness, lp_norm, make_atom, parse_config, power_weight,
+                     run_experiment, sgn_atom)
 from varharm import cli
 from varharm.cli import main as cli_main
 from varharm.harness import ConfigError, ExperimentConfig
@@ -537,10 +538,13 @@ def test_cli_info_fuzzed_weight_file_exits_cleanly(text):
         assert out.getvalue() == "" and err.getvalue()
 
 
-def test_failure_flag_with_commas_is_quoted(tmp_path):
-    # E6 at 16 cells fails every case with "cells [1, 17) leave the domain"
+def test_failure_flag_with_commas_is_quoted(tmp_path, monkeypatch):
+    def misplaced(*args, **kwargs):
+        raise WitnessPlacementError("companion cube cells [1, 17) leave the domain")
+
+    monkeypatch.setattr(harness, "oscillation_witness", misplaced)
     cfgfile = tmp_path / "e6.cfg"
-    cfgfile.write_text("experiment = E6\ncells = 16\n")
+    cfgfile.write_text("experiment = E6\ncells = 96\n")
     assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
     with open(tmp_path / "E6.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
@@ -723,4 +727,23 @@ def test_e7_grid_fine_enough_for_its_balls_writes_no_failure_rows(tmp_path, cell
     cfgfile.write_text(f"experiment = E7\ncells = {cells}\n")
     assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "E7.csv").read_text().splitlines()
+    assert len(rows) > 1 and not [r for r in rows if "failure:" in r]
+
+
+@pytest.mark.parametrize("cells", [16, 80, 84])
+def test_e6_grid_too_coarse_for_its_witness_cubes_exits_3(tmp_path, capsys, cells):
+    # below 128 cells the witness cube Q is [64 + N // 16, 80 + N // 16), which
+    # ends inside the grid only from N = 86; a Q past the end fails every case
+    cfgfile = tmp_path / "coarse.cfg"
+    cfgfile.write_text(f"experiment = E6\ncells = {cells}\n")
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+    assert "E6's witness cube cells [" in capsys.readouterr().err
+    assert not (tmp_path / "E6.csv").exists()
+
+
+def test_e6_grid_fine_enough_for_its_witness_cubes_writes_no_failure_rows(tmp_path):
+    cfgfile = tmp_path / "fine.cfg"
+    cfgfile.write_text("experiment = E6\ncells = 86\n")
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "E6.csv").read_text().splitlines()
     assert len(rows) > 1 and not [r for r in rows if "failure:" in r]

@@ -184,6 +184,9 @@ def test_oscillation_witness_errors():
     with pytest.raises(WitnessPlacementError):
         # P would start left of the domain
         oscillation_witness(b, (0, 64), tau=0.125, delta_param=2.5)
+    with pytest.raises(WitnessPlacementError, match=r"witness cube cells \[480, 544\)"):
+        # Q would end right of the domain
+        oscillation_witness(b, (480, 544), tau=0.125, delta_param=2.5)
     const = GridFunction(d, np.ones(d.cells))
     res = oscillation_witness(const, (300, 364), tau=0.125, delta_param=2.5)
     assert res.degenerate and res.sign == 0 and res.a_tau == 0.0

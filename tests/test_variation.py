@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varharm import (Ball, Domain1D, GridFunction, KernelSpec, ScaleFamily,
-                     VariationProfile, commutator_family, commutator_family_direct,
-                     commutator_variation, convolve_family,
+                     VariationProfile, commutator_family, commutator_variation,
+                     convolve_family, eval_kernel_dilated,
                      kernel_difference_variation, make_atom, power_weight,
                      seq_variation_bruteforce, seq_variation_dp, sgn_atom,
                      variation_operator)
@@ -17,6 +17,18 @@ from varharm.harness import battery_generate
 from varharm.variation import (_DP_BYTES, _NOISE_FLOOR, _turns,
                                _variation_dp_batch, _variation_dp_full,
                                _zero_noise)
+
+
+def commutator_family_direct(f: GridFunction, b: GridFunction, kernel: KernelSpec,
+                             t: float) -> np.ndarray:
+    """Slow per-pair assembly h sum_j phi_t(x_i - x_j)(b(x_i) - b(x_j)) f(x_j)."""
+    if f.domain != b.domain:
+        raise ValueError("f and b must share a domain")
+    d = f.domain
+    x = d.x()
+    kmat = eval_kernel_dilated(kernel, t, x[:, None] - x[None, :])
+    diff = b.values[:, None] - b.values[None, :]
+    return d.h * (kmat * diff * f.values[None, :]).sum(axis=1)
 
 
 def test_seq_variation_hand_examples():
@@ -244,24 +256,24 @@ def test_variation_dp_batch_equals_full_dp_on_fft_families(cells):
 
 
 def test_variation_dp_batch_chunks_join_exactly():
-    # enough sequences with k > 3 for at least three chunks of the DP, runs of
-    # equal k across chunk boundaries, k = m, and NaN and infinite columns
+    # enough sequences for several chunks of the DP, runs of equal k across
+    # chunk boundaries, among them the runs of k = 3 and k = 2 (5461 and 8192
+    # columns a chunk), k = m, and NaN and infinite columns
     m = 37
     rng = np.random.default_rng(71)
-    per_k = {37: 500, 30: 160, 21: 320, 9: 100, 4: 40, 3: 20, 2: 20}
+    per_k = {37: 500, 30: 160, 21: 320, 9: 100, 4: 40, 3: 6000, 2: 9000}
     rows = np.concatenate([_rows_with_turns(rng, m, k, n) for k, n in per_k.items()])
     rows[[3, 250], [0, m - 1]] = np.nan
     rows[[5, 700, 1000], [4, m // 2, 0]] = np.inf, -np.inf, np.inf
     rng.shuffle(rows)
-    # the chunks of _variation_dp_batch over the sorted k > 3 sequences
+    # the chunks of _variation_dp_batch over the sorted sequences
     k = np.sort(_turns(np.ascontiguousarray(rows.T)).sum(axis=0) + 2)[::-1]
-    k = k[k > 3]
     starts = [0]
     while starts[-1] < len(k):
         starts.append(starts[-1] + max(1, _DP_BYTES // (16 * k[starts[-1]])))
     inner = starts[1:-1]
-    assert len(inner) >= 2
-    assert any(k[e - 1] == k[e] for e in inner) and k[0] == m
+    assert len(inner) >= 4 and k[0] == m
+    assert {k[e] for e in inner if k[e - 1] == k[e]} >= {37, 3, 2}
     for rho in (1.5, 3.0):
         with np.errstate(invalid="ignore"):
             want = _variation_dp_full(rows, rho)
