@@ -4,8 +4,8 @@ batch experiment harness."""
 
 from .atoms import Atom, AtomConstructionError, Ball, make_atom, sgn_atom
 from .grid import (Domain1D, GridFunction, KernelSpec, ResolutionError,
-                   ScaleFamily, convolve, convolve_family, eval_kernel_dilated,
-                   lp_norm, weak_l1_norm)
+                   ScaleFamily, convolve_family, eval_kernel_dilated, lp_norm,
+                   weak_l1_norm)
 from .harness import (ExperimentConfig, RatioTable, battery_generate,
                       parse_config, run_experiment)
 from .lattice import (DyadicLattice, cube_domain_ranges, default_lattices,

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .grid import Domain1D, GridFunction, KernelSpec, ScaleFamily, convolve
+from .grid import Domain1D, GridFunction, KernelSpec, ScaleFamily, convolve_family
 from .harness import (EXPERIMENT_IDS, ConfigError, ExperimentConfig, parse_config,
                       run_experiment)
 from .oscillation import is_median, median
@@ -32,12 +32,9 @@ def _cmd_run(args) -> int:
             cfg = ExperimentConfig(experiment=args.experiment)
         else:
             raise ConfigError("need --experiment or --config")
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.refine is not None:
-            cfg.refine = args.refine
+        for key, value in (("seed", args.seed), ("out_dir", args.out), ("refine", args.refine)):
+            if value is not None:
+                setattr(cfg, key, value)
         cfg.validate()
         # before the run: an --out that names a file, or holds a directory
         # where an output goes, fails here, not after the work
@@ -115,16 +112,14 @@ def _check_median() -> bool:
 def _check_kernel_mass() -> bool:
     d = Domain1D(-12.0, 12.0, 384)
     f = GridFunction(d, np.ones(d.cells))
-    mid = d.cells // 2
-    if abs(convolve(f, KernelSpec("gaussian-heat"), 0.5).values[mid] - 1.0) > 1e-6:
-        return False
-    # compact bump needs enough samples across its support
-    if abs(convolve(f, KernelSpec("compact-bump"), 2.0).values[mid] - 1.0) > 1e-6:
-        return False
+    # (phi_t * 1)(0); compact bump needs enough samples across its support
+    gauss, bump, poisson = (convolve_family(f, KernelSpec(kind), ScaleFamily((t,)))[d.cells // 2, 0]
+                            for kind, t in [("gaussian-heat", 0.5), ("compact-bump", 2.0),
+                                            ("poisson", 0.5)])
     # poisson mass outside the domain is analytic: 1 - (2/pi) arctan(R/t)
     tail = 1.0 - (2.0 / math.pi) * math.atan(12.0 / 0.5)
-    val = convolve(f, KernelSpec("poisson"), 0.5).values[mid]
-    return abs(val - 1.0) <= 2.0 * tail + 1e-3
+    return (abs(gauss - 1.0) <= 1e-6 and abs(bump - 1.0) <= 1e-6
+            and abs(poisson - 1.0) <= 2.0 * tail + 1e-3)
 
 
 _CHECKS = [

@@ -237,15 +237,6 @@ class ScaleFamily:
         return ScaleFamily(tuple(out))
 
 
-def convolve(f: GridFunction, kernel: KernelSpec, t: float) -> GridFunction:
-    """Midpoint-quadrature convolution (phi_t * f)(x_i) = h sum_j phi_t(x_i - x_j) f(x_j).
-
-    The one-scale case of convolve_family.
-    """
-    values = convolve_family(f, kernel, ScaleFamily((t,)))[:, 0]
-    return GridFunction(f.domain, values)
-
-
 def _kernel_samples(kernel: KernelSpec, scales: tuple, domain: Domain1D) -> np.ndarray:
     """Row k holds phi_{t_k}(d h) for the 2N - 1 offsets d = -(N-1) .. N-1.
 

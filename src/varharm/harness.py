@@ -1,6 +1,9 @@
 """Batch experiment runner: every inequality becomes a seeded ratio sweep.
 
-Each experiment walks a battery of test functions / weights, records
+The table `EXPERIMENTS` pairs each experiment's case list for a config with
+its runner. `ExperimentConfig.validate` refuses a config whose case list
+raises ConfigError or is empty, so every refusal comes before any work. A
+runner walks its cases over a battery of test functions / weights, records
 (lhs, rhs, ratio) rows, and emits a CSV table plus a JSON summary. Runs
 are deterministic under a fixed seed; only the JSON header carries a
 timestamp. One `RunContext` per run holds what the cases share; each case
@@ -29,14 +32,13 @@ from .sparse import domination_check
 from .variation import commutator_variation, kernel_difference_variation, variation_operator
 from .weights import Weight, a1_constant, ainf_constant, ap_constant, bloom_weight, power_weight
 
-EXPERIMENT_IDS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
-
 _RHO_MAX = 64.0  # above it |difference|^rho underflows: E7 writes lhs = 0 at rho = 128
 _MAX_FINEST_CELLS = 65536  # the finest grid, cells * 2**refine, a run may allocate
 _MAX_ENTRIES = 1 << 22  # floats (32 MB) in one battery or scale stack on the finest grid
 _UNSET = object()  # no value stored yet, in RunContext.once
-# E7's balls and the balls of its rhs norm, as (offset of the centre from the
-# domain's midpoint, radius); a domain that cannot hold them all fails validate
+# E3's radii; E7's balls and the balls of its rhs norm, as (offset of the
+# centre from the domain's midpoint, radius)
+_E3_RADII = tuple(2.0 ** e for e in range(-4, 3))
 _E7_BALLS = ((0.0, 1.0), (-2.0, 0.5), (1.0, 2.0))
 _E7_NORM_BALLS = tuple((c, r) for c in (-4.0, -2.0, 0.0, 2.0, 4.0) for r in (0.25, 0.5, 1.0, 2.0))
 _E7_REACH = max(abs(c) + r for c, r in _E7_BALLS + _E7_NORM_BALLS)  # 6
@@ -66,7 +68,7 @@ class ExperimentConfig:
     refine: int = 0
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENT_IDS:
+        if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         for f in fields(self):
             value = getattr(self, f.name)
@@ -78,13 +80,6 @@ class ExperimentConfig:
             raise ConfigError("domain requires left < right")
         if self.cells < 16 or (3 * self.cells) % 2 != 0:
             raise ConfigError("cells must be >= 16 with 3N even for the lattices")
-        if self.experiment == "E6":
-            qs, qe = _witness_geometry(self.cells)
-            if qe > self.cells:
-                raise ConfigError(f"E6's witness cube cells [{qs}, {qe}) leave "
-                                  f"a grid of {self.cells} cells")
-        if self.experiment == "E7":
-            self._check_e7_balls()
         if self.refine < 0:
             raise ConfigError("refine must be nonnegative")
         # cells * 2**refine > cap, without building 2**refine for a huge refine
@@ -96,8 +91,6 @@ class ExperimentConfig:
             raise ConfigError(f"experiments require 2 < rho <= {_RHO_MAX:g}")
         if not 0 < self.scale_ratio < 1:
             raise ConfigError("scale_ratio must lie in (0, 1)")
-        if any(p <= 1 for p in self.p_list) and self.experiment in ("E1", "E5", "E6"):
-            raise ConfigError("p_list entries must exceed 1 for this experiment")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.function_battery not in _FUNCTION_BATTERIES:
@@ -112,23 +105,8 @@ class ExperimentConfig:
             self.scales()
         except ValueError as exc:
             raise ConfigError(f"no usable scale family at t >= 2h: {exc}") from None
-
-    def _check_e7_balls(self) -> None:
-        """E7's balls must lie in the domain, each norm ball must have a cell by
-        Ball.cell_range, and each atom ball the s + 2 = 2 cells make_atom needs
-        at s = 0, or their cases fail."""
-        if self.right - self.left < 2.0 * _E7_REACH:
-            raise ConfigError(f"E7 needs right - left >= {2.0 * _E7_REACH:g} to hold its balls")
-        d = self.domain()
-        for (c, r), need in [(b, 2) for b in _E7_BALLS] + [(b, 1) for b in _E7_NORM_BALLS]:
-            ball = Ball(d.midpoint + c, r)
-            try:
-                s, e = ball.cell_range(d)
-            except ValueError:
-                s = e = 0
-            if e - s < need:
-                raise ConfigError(f"E7's ball of centre {ball.center:g} and radius {r:g} "
-                                  f"needs {need} cell(s) and has {e - s} on this grid")
+        if not EXPERIMENTS[self.experiment][0](self):  # the case list
+            raise ConfigError(f"the config leaves {self.experiment} no case to run")
 
     def domain(self) -> Domain1D:
         return Domain1D(self.left, self.right, self.cells)
@@ -279,6 +257,8 @@ class RatioTable:
             ratio, flag = math.inf, flag or "zero-denominator"
         else:
             ratio = lhs / rhs
+            if rhs == math.inf:  # an overflowed bound, not a clean ratio 0
+                flag = flag or "infinite-rhs"
         self.rows.append(RatioRow(case_id, params, lhs, rhs, ratio, flag))
 
     def add_failure(self, case_id: str, params: dict, message: str) -> None:
@@ -298,10 +278,7 @@ class RatioTable:
 
     @property
     def param_keys(self) -> list:
-        keys = set()
-        for row in self.rows:
-            keys.update(row.params)
-        return sorted(keys)
+        return sorted({k for row in self.rows for k in row.params})
 
     def finite_ratios(self) -> list:
         return [r.ratio for r in self.rows if math.isfinite(r.ratio)]
@@ -430,20 +407,31 @@ def _scaled(factor: float, prof: GridFunction) -> GridFunction:
     return GridFunction(prof.domain, factor * prof.values)
 
 
-def _run_e1(ctx: RunContext, table: RatioTable) -> None:
-    for p in ctx.cfg.p_list:
-        for a in [a for a in ctx.cfg.weight_params if -1.0 < a < p - 1.0]:
-            for fid, f in ctx.funcs:
-                with table.case(f"{fid}|p={p}|a={a:+g}", {"p": p, "power": a}) as add:
-                    w = ctx.weight(a)
-                    apc = ctx.once(ap_constant, w, p)
-                    lhs = lp_norm(ctx.variation(f), p, w)
-                    rhs = apc ** _strong_exponent(p) * lp_norm(f, p, w)
-                    add(lhs, rhs, ap=apc)
+def _admissible(cfg: ExperimentConfig, powers) -> list:
+    """(p, *pw) for p in cfg.p_list, all > 1 (strong type), and pw in powers
+    with each |x|^a in A_p."""
+    if any(p <= 1 for p in cfg.p_list):
+        raise ConfigError("p_list entries must exceed 1 for this experiment")
+    return [(p, *pw) for p in cfg.p_list for pw in powers if all(-1.0 < a < p - 1.0 for a in pw)]
 
 
-def _run_e2(ctx: RunContext, table: RatioTable) -> None:
-    for a in [a for a in ctx.cfg.weight_params if -1.0 < a <= 0.0]:
+def _a1_powers(cfg: ExperimentConfig) -> list:  # |x|^a in A_1
+    return [a for a in cfg.weight_params if -1.0 < a <= 0.0]
+
+
+def _run_e1(ctx: RunContext, table: RatioTable, pairs: list) -> None:
+    for p, a in pairs:
+        for fid, f in ctx.funcs:
+            with table.case(f"{fid}|p={p}|a={a:+g}", {"p": p, "power": a}) as add:
+                w = ctx.weight(a)
+                apc = ctx.once(ap_constant, w, p)
+                lhs = lp_norm(ctx.variation(f), p, w)
+                rhs = apc ** _strong_exponent(p) * lp_norm(f, p, w)
+                add(lhs, rhs, ap=apc)
+
+
+def _run_e2(ctx: RunContext, table: RatioTable, powers: list) -> None:
+    for a in powers:
         for fid, f in ctx.funcs:
             with table.case(f"{fid}|a={a:+g}", {"power": a}) as add:
                 w = ctx.weight(a)
@@ -454,23 +442,25 @@ def _run_e2(ctx: RunContext, table: RatioTable) -> None:
                 add(lhs, rhs, a1=a1c, ainf=ainfc)
 
 
-def _run_e3(ctx: RunContext, table: RatioTable) -> None:
+def _e3_radii(cfg: ExperimentConfig) -> list:
+    """(i, r) for the radii r = _E3_RADII[i] with r <= R, the domain's half-width,
+    and 2r/h >= s + 3 = 3: Ball.cell_range rounds each end of a ball by at most
+    half a cell, ties included, so make_atom keeps its s + 2 cells at any centre."""
+    d = cfg.domain()
+    return [(i, r) for i, r in enumerate(_E3_RADII)
+            if r <= 0.5 * d.length and 2.0 * r * d.cells >= 3.0 * d.length]
+
+
+def _run_e3(ctx: RunContext, table: RatioTable, radii: list) -> None:
     cfg, d = ctx.cfg, ctx.domain
-    radii = [2.0 ** e for e in (-4, -3, -2, -1, 0, 1, 2)]
     ps = [p for p in cfg.p_list if 0.5 < p <= 1.0] or [0.7, 1.0]
     lebesgue = Weight.constant(d)
     weights = [("lebesgue", lebesgue), ("pow+0.3", power_weight(0.3, d))]
     rng = _uniform_stream(cfg.seed)
-    half = 0.5 * d.length
-    for i, r in enumerate(radii):
+    draws = [rng.random() for _ in _E3_RADII]  # kept or not: a kept radius keeps its centre
+    for i, r in radii:
         # within 1 of the midpoint, the ball inside the domain
-        center = d.midpoint + float((-1.0 + 2.0 * rng.random()) * min(1.0, half - r))
-        # Ball.cell_range rounds each end by at most half a cell, ties included,
-        # so 2r/h >= s + 3 = 3 leaves make_atom its s + 2 cells at any centre;
-        # a ball wider than the domain does not fit at all
-        if r > half or 2.0 * r * d.cells < 3.0 * d.length:
-            continue
-        ball = Ball(center, r)
+        ball = Ball(d.midpoint + float((-1.0 + 2.0 * draws[i]) * min(1.0, 0.5 * d.length - r)), r)
         for p in ps:
             for wid, w in weights:
                 case = f"atom|r=2^{math.log2(r):+.0f}|p={p}|{wid}"
@@ -483,8 +473,8 @@ def _run_e3(ctx: RunContext, table: RatioTable) -> None:
                     add(lp_norm(_scaled(atom.factor, prof), p, w), 1.0)
 
 
-def _run_e4(ctx: RunContext, table: RatioTable) -> None:
-    for fid, f in ctx.funcs:
+def _run_e4(ctx: RunContext, table: RatioTable, indices: range) -> None:
+    for fid, f in (ctx.funcs[i] for i in indices):
         with table.case(fid, {}) as add:
             if not np.any(f.values):
                 add(0.0, 1.0)
@@ -494,74 +484,90 @@ def _run_e4(ctx: RunContext, table: RatioTable) -> None:
                 add(rep.max_ratio, 1.0, flag=flag, n_cubes=float(sum(rep.family_sizes)))
 
 
-def _run_e5(ctx: RunContext, table: RatioTable) -> None:
+def _run_e5(ctx: RunContext, table: RatioTable, triples: list) -> None:
     cfg, d = ctx.cfg, ctx.domain
     rng = _uniform_stream(cfg.seed)
     bs = _oscillatory_battery(d, 3, rng) + [("b=x", GridFunction(d, d.x()))]
     funcs = battery_generate(cfg.function_battery, cfg.seed + 1, d,
                              max(cfg.function_count // 3, 2))
-    for p in cfg.p_list:
-        for amu, alam in [(-0.3, 0.3), (0.0, 0.3), (-0.3, 0.0)]:
-            if not (-1.0 < amu < p - 1.0 and -1.0 < alam < p - 1.0):
-                continue
-            for fid, f in funcs:
-                for bid, b in bs:
-                    case = f"{bid}|{fid}|p={p}|mu={amu:+g}|lam={alam:+g}"
-                    with table.case(case, {"p": p, "mu_pow": amu, "lam_pow": alam}) as add:
-                        mu, lam = ctx.weight(amu), ctx.weight(alam)
-                        ap_mu = ctx.once(ap_constant, mu, p)
-                        ap_lam = ctx.once(ap_constant, lam, p)
-                        bnorm = ctx.bmo(b, ctx.once(bloom_weight, mu, lam, p))
-                        # the profile depends on (f, b) only, not on p or the weights
-                        prof = ctx.commutator(f, b)
-                        f_norm = ctx.once(lp_norm, f, p, mu)
-                        rhs = (ap_mu * ap_lam) ** _strong_exponent(p) * bnorm * f_norm
-                        add(lp_norm(prof, p, lam), rhs)
+    for p, amu, alam in triples:
+        for fid, f in funcs:
+            for bid, b in bs:
+                case = f"{bid}|{fid}|p={p}|mu={amu:+g}|lam={alam:+g}"
+                with table.case(case, {"p": p, "mu_pow": amu, "lam_pow": alam}) as add:
+                    mu, lam = ctx.weight(amu), ctx.weight(alam)
+                    ap_mu = ctx.once(ap_constant, mu, p)
+                    ap_lam = ctx.once(ap_constant, lam, p)
+                    bnorm = ctx.bmo(b, ctx.once(bloom_weight, mu, lam, p))
+                    # the profile depends on (f, b) only, not on p or the weights
+                    prof = ctx.commutator(f, b)
+                    f_norm = ctx.once(lp_norm, f, p, mu)
+                    rhs = (ap_mu * ap_lam) ** _strong_exponent(p) * bnorm * f_norm
+                    add(lp_norm(prof, p, lam), rhs)
 
 
 def _witness_geometry(cells: int, delta_param: float = 2.5) -> tuple[int, int]:
     """A cube near the right of the domain whose companion stays inside."""
     kq = max(16, cells // 8)
     kq -= kq % 16  # tau |Q| must be an even cell count for tau = 1/8
-    shift = int(round(10.0 * kq / delta_param))
-    qs = shift + cells // 16
+    qs = int(round(10.0 * kq / delta_param)) + cells // 16  # P, left of Q, at cell N // 16
     return qs, qs + kq
 
 
-def _run_e6(ctx: RunContext, table: RatioTable) -> None:
+def _e6_cases(cfg: ExperimentConfig) -> list:  # a witness cube off the grid fails every case
+    qs, qe = _witness_geometry(cfg.cells)
+    if qe > cfg.cells:
+        raise ConfigError(f"E6's witness cube cells [{qs}, {qe}) leave "
+                          f"a grid of {cfg.cells} cells")
+    return _admissible(cfg, ((-0.3, 0.3), (0.3, -0.3), (0.0, 0.0)))
+
+
+def _run_e6(ctx: RunContext, table: RatioTable, triples: list) -> None:
     cfg, d = ctx.cfg, ctx.domain
-    tau = 0.125
-    delta_param = 2.5
     rng = _uniform_stream(cfg.seed)
     bs = (_oscillatory_battery(d, 6, rng)
           + [("b=x", GridFunction(d, d.x())),
              ("b=saw", GridFunction(d, np.abs((d.x() * 0.5) % 2.0 - 1.0)))])
-    qs, qe = _witness_geometry(d.cells, delta_param)
-    for p in cfg.p_list:
-        for amu, alam in [(-0.3, 0.3), (0.3, -0.3), (0.0, 0.0)]:
-            if not (-1.0 < amu < p - 1.0 and -1.0 < alam < p - 1.0):
-                continue
-            for bid, b in bs:
-                case = f"{bid}|p={p}|mu={amu:+g}|lam={alam:+g}"
-                with table.case(case, {"p": p, "mu_pow": amu, "lam_pow": alam}) as add:
-                    mu, lam = ctx.weight(amu), ctx.weight(alam)
-                    wit = oscillation_witness(b, (qs, qe), tau, delta_param,
-                                              mu=mu, p=p)
-                    pprime = p / (p - 1.0)
-                    rhs = (float(mu.values[qs:qe].mean()) ** (1.0 / p)
-                           * float((lam.values[qs:qe] ** (-pprime / p)).mean())
-                           ** (1.0 / pprime))
-                    add(wit.a_tau, rhs, flag="degenerate" if wit.degenerate else "")
+    qs, qe = _witness_geometry(d.cells)
+    for p, amu, alam in triples:
+        for bid, b in bs:
+            case = f"{bid}|p={p}|mu={amu:+g}|lam={alam:+g}"
+            with table.case(case, {"p": p, "mu_pow": amu, "lam_pow": alam}) as add:
+                mu, lam = ctx.weight(amu), ctx.weight(alam)
+                wit = oscillation_witness(b, (qs, qe), 0.125, 2.5, mu=mu, p=p)  # tau, delta
+                pprime = p / (p - 1.0)
+                rhs = (float(mu.values[qs:qe].mean()) ** (1.0 / p)
+                       * float((lam.values[qs:qe] ** (-pprime / p)).mean())
+                       ** (1.0 / pprime))
+                add(wit.a_tau, rhs, flag="degenerate" if wit.degenerate else "")
 
 
-def _run_e7(ctx: RunContext, table: RatioTable) -> None:
+def _e7_powers(cfg: ExperimentConfig) -> list:
+    """E7's weight powers, if each ball lies in the domain, each norm ball has a cell
+    by Ball.cell_range and each atom ball the 2 cells make_atom needs at s = 0."""
+    if cfg.right - cfg.left < 2.0 * _E7_REACH:
+        raise ConfigError(f"E7 needs right - left >= {2.0 * _E7_REACH:g} to hold its balls")
+    d = cfg.domain()
+    for (c, r), need in [(b, 2) for b in _E7_BALLS] + [(b, 1) for b in _E7_NORM_BALLS]:
+        ball = Ball(d.midpoint + c, r)
+        try:
+            s, e = ball.cell_range(d)
+        except ValueError:
+            s = e = 0
+        if e - s < need:
+            raise ConfigError(f"E7's ball of centre {ball.center:g} and radius {r:g} "
+                              f"needs {need} cell(s) and has {e - s} on this grid")
+    return _a1_powers(cfg) or [0.0]
+
+
+def _run_e7(ctx: RunContext, table: RatioTable, powers: list) -> None:
     cfg, d = ctx.cfg, ctx.domain
     rng = _uniform_stream(cfg.seed)
     bs = _oscillatory_battery(d, 4, rng)
     lebesgue = Weight.constant(d)
     balls = [Ball(d.midpoint + c, r) for c, r in _E7_BALLS]
     norm_balls = tuple(Ball(d.midpoint + c, r) for c, r in _E7_NORM_BALLS)
-    for a in [a for a in cfg.weight_params if -1.0 < a <= 0.0] or [0.0]:
+    for a in powers:
         for ball in balls:
             params = {"power": a, "center": ball.center, "radius": ball.radius}
             # the sign shape depends on (b, ball), the random one on the ball only, so
@@ -587,9 +593,9 @@ def _run_e7(ctx: RunContext, table: RatioTable) -> None:
                         add(lp_norm(_scaled(atom.factor, prof), 1.0, w), rhs)
 
 
-def _run_e8(ctx: RunContext, table: RatioTable) -> None:
+def _run_e8(ctx: RunContext, table: RatioTable, indices: range) -> None:
     rng = _uniform_stream(ctx.cfg.seed)
-    for i in range(max(ctx.cfg.function_count, 50)):
+    for i in indices:
         xi = float(-2.0 + 4.0 * rng.random())
         dz = float(0.01 + 0.2 * rng.random())
         z = xi - dz
@@ -600,21 +606,28 @@ def _run_e8(ctx: RunContext, table: RatioTable) -> None:
             add(lhs, abs(z - xi) / (xi - y) ** 2)
 
 
-_RUNNERS = {"E1": _run_e1, "E2": _run_e2, "E3": _run_e3, "E4": _run_e4,
-            "E5": _run_e5, "E6": _run_e6, "E7": _run_e7, "E8": _run_e8}
+EXPERIMENTS = {
+    "E1": (lambda cfg: _admissible(cfg, [(a,) for a in cfg.weight_params]), _run_e1),
+    "E2": (_a1_powers, _run_e2), "E3": (_e3_radii, _run_e3),
+    "E4": (lambda cfg: range(cfg.function_count), _run_e4),  # the battery's functions
+    "E5": (lambda cfg: _admissible(cfg, ((-0.3, 0.3), (0.0, 0.3), (-0.3, 0.0))), _run_e5),
+    "E6": (_e6_cases, _run_e6), "E7": (_e7_powers, _run_e7),
+    "E8": (lambda cfg: range(max(cfg.function_count, 50)), _run_e8),  # the kernel triples
+}
+EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RatioTable:
     """Run one experiment; with cfg.refine > 0 also run doubled grids and
     record the worst consecutive max-ratio drift as the refinement factor.
-    Raises ConfigError when the config leaves the experiment no case."""
+    Raises ConfigError when cfg.validate() does."""
     cfg.validate()
+    cases, run = EXPERIMENTS[cfg.experiment]
     tables = []
     for k in range(cfg.refine + 1):
+        grid = replace(cfg, cells=cfg.cells * 2 ** k)
         tables.append(RatioTable(cfg.experiment))
-        _RUNNERS[cfg.experiment](RunContext(replace(cfg, cells=cfg.cells * 2 ** k)), tables[-1])
-        if not tables[-1].rows:
-            raise ConfigError(f"the config leaves {cfg.experiment} no case to run")
+        run(RunContext(grid), tables[-1], cases(grid))
     maxima = [t.summary()["max_ratio"] for t in tables]
     factors = [max(a / b, b / a) for a, b in zip(maxima, maxima[1:]) if a and b]
     tables[0].refinement_factor = max(factors, default=None)

@@ -60,6 +60,12 @@ def test_parse_config_round_trip():
     "experiment = E1\nrho = 2.0",           # rho must exceed 2
     "experiment = E1\ncells = 17",          # 3N odd, misaligned lattices
     "experiment = E1\np_list = 0.9, 2.0",   # p <= 1 for a strong-type sweep
+    # configs that leave the experiment no case, refused before any run
+    "experiment = E1\nweight_params = 5",   # no |x|^a in A_p
+    "experiment = E2\nweight_params = 0.5",  # no |x|^a in A_1
+    "experiment = E5\np_list = ",
+    "experiment = E6\np_list = ",
+    "experiment = E3\ncells = 96\nleft = -200\nright = 200\nt_max = 64",  # no radius fits
 ])
 def test_parse_config_rejects(text):
     with pytest.raises(ConfigError):
@@ -452,6 +458,60 @@ def test_cli_run_fuzzed_config_exits_cleanly(text):
         cfgfile = Path(out) / "fuzz.cfg"
         cfgfile.write_text(text)
         assert cli_main(["run", "--config", str(cfgfile), "--out", out]) in (0, 2, 3)
+
+
+@st.composite
+def _configs(draw):
+    """A config over ranges wide enough to reach each experiment's refusals:
+    grids from 16 to 400 cells, domains of length 1 to 200, p's at and below 1,
+    powers outside every A_p, empty p lists and weight powers."""
+    left = draw(st.floats(-100.0, 100.0))
+    return ExperimentConfig(
+        experiment=draw(st.sampled_from(harness.EXPERIMENT_IDS)),
+        left=left, right=left + draw(st.floats(1.0, 200.0)),
+        cells=2 * draw(st.integers(8, 200)),
+        kernel=draw(st.sampled_from(["gaussian-heat", "poisson", "compact-bump"])),
+        t_max=draw(st.floats(0.5, 64.0)), scale_ratio=draw(st.floats(0.3, 0.95)),
+        scale_count=draw(st.integers(1, 12)), rho=draw(st.floats(2.05, 64.0)),
+        p_list=tuple(draw(st.lists(st.floats(0.5, 6.0), max_size=3))),
+        weight_params=tuple(draw(st.lists(st.floats(-1.5, 1.5), max_size=4))),
+        function_battery=draw(st.sampled_from(["mixed", "indicators", "oscillatory",
+                                               "random-bumps"])),
+        function_count=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2 ** 32)),
+        refine=draw(st.integers(0, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+# the table refuses each of these before any work: no power in A_p, no p,
+# no radius whose ball fits, no witness cube, no cell for a ball of E7
+@example(ExperimentConfig("E1", cells=96, weight_params=(5.0,)))
+@example(ExperimentConfig("E5", cells=96, p_list=()))
+@example(ExperimentConfig("E3", cells=96, left=-200.0, right=200.0, t_max=64.0))
+@example(ExperimentConfig("E6", cells=84))
+@example(ExperimentConfig("E7", cells=32))
+def test_every_config_is_refused_or_runs_without_failure_rows(cfg):
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    rows = run_experiment(cfg).rows
+    assert rows and not [r.flag for r in rows if r.flag.startswith("failure:")]
+
+
+def test_overflowed_bound_is_flagged_not_a_clean_zero(tmp_path):
+    # at p = 1.0001 the A_p constant of |x|^-0.3 overflows: its 12 rows read
+    # rhs = inf, ratio 0. The flag says so, and counts as no failure
+    text = "experiment = E1\ncells = 96\np_list = 1.0001\n"
+    rows = run_experiment(parse_config(text)).rows
+    flagged = [r for r in rows if r.flag]
+    assert len(flagged) == 12 and {r.flag for r in flagged} == {"infinite-rhs"}
+    assert all(r.params["power"] == -0.3 and r.rhs == math.inf and r.ratio == 0.0
+               for r in flagged)
+    assert all(r.params["power"] == 0.0 and math.isfinite(r.rhs) for r in rows if not r.flag)
+    cfgfile = tmp_path / "e1.cfg"
+    cfgfile.write_text(text)
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
 
 
 def test_cli_info(tmp_path, capsys):

@@ -262,7 +262,8 @@ def test_e5_bmo_norms_from_shared_measures_equal_range_by_range_oracle(monkeypat
     for fn in calls:
         monkeypatch.setattr(harness, fn.__name__, counted(fn))
     cfg = parse_config("experiment = E5\ncells = 768\n")
-    harness._run_e5(harness.RunContext(cfg), harness.RatioTable("E5"))
+    cases, run = harness.EXPERIMENTS["E5"]
+    run(harness.RunContext(cfg), harness.RatioTable("E5"), cases(cfg))
     d = cfg.domain()
     bs = dict(harness._oscillatory_battery(d, 3, np.random.default_rng(cfg.seed))
               + [("b=x", GridFunction(d, d.x()))])

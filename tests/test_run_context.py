@@ -67,7 +67,8 @@ def test_one_context_serves_every_experiment(cells, seed):
     for e in harness.EXPERIMENT_IDS:
         ctx.cfg = replace(cfg, experiment=e)
         shared = RatioTable(e)
-        harness._RUNNERS[e](ctx, shared)
+        cases, run = harness.EXPERIMENTS[e]
+        run(ctx, shared, cases(ctx.cfg))
         assert _rows(shared) == _rows(run_experiment(ctx.cfg))
 
 
