@@ -15,10 +15,9 @@ from .oscillation import (EquivalenceReport, TailNormReport,
                           bmo_nu_equivalence, bmo_nu_norm, cal_bmo_omega_norm,
                           cube_measures, cube_oscillations, is_median,
                           local_mean_oscillation, median, oscillation_witness)
-from .sparse import (DominationReport, SparseConstructionError, SparseFamily,
-                     SparseReport, build_sparse_family, domination_check,
-                     sparse_commutator, sparse_commutator_star, sparse_operator,
-                     validate_sparse)
+from .sparse import (ETA, DominationReport, SparseConstructionError, SparseFamily,
+                     build_sparse_family, domination_check, sparse_commutator,
+                     sparse_commutator_star, sparse_operator, validate_sparse)
 from .variation import (VariationProfile, commutator_family,
                         commutator_variation, kernel_difference_variation,
                         seq_variation_bruteforce, seq_variation_dp,

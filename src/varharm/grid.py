@@ -237,21 +237,6 @@ class ScaleFamily:
         return ScaleFamily(tuple(out))
 
 
-def _kernel_samples(kernel: KernelSpec, scales: tuple, domain: Domain1D) -> np.ndarray:
-    """Row k holds phi_{t_k}(d h) for the 2N - 1 offsets d = -(N-1) .. N-1.
-
-    Each kernel is sampled at the N offsets d >= 0 and mirrored: every
-    profile is even to the bit, as (-d) h = -(d h) in floating point and
-    the profiles see x only through x * x or |x|."""
-    n = domain.cells
-    diffs = np.arange(n) * domain.h
-    out = np.empty((len(scales), 2 * n - 1))
-    for row, t in zip(out, scales):
-        row[n - 1:] = eval_kernel_dilated(kernel, t, diffs)
-        row[:n - 1] = row[:n - 1:-1]
-    return out
-
-
 def _fft_length(cells: int) -> int:
     """Smallest 2^a 3^b >= 2N - 1: the circular wrap then misses the N
     central outputs of the linear convolution, and the transform runs in
@@ -281,7 +266,9 @@ def _kernel_spectra(kernel: KernelSpec, scales: tuple,
     call on the plan overwrites.
 
     A row of the real buffer holds phi_t(d h) at index d for the offsets
-    d = 0 .. N-1 and its mirror at L - d, zeros in between: a real even
+    d = 0 .. N-1 and its mirror at L - d, zeros in between. The mirror is
+    phi_t(-d h) to the bit, as (-d) h = -(d h) in floating point and the
+    profiles see x only through x * x or |x|. The row is a real even
     sequence, whose DFT is real (Oppenheim & Schafer, Discrete-Time Signal
     Processing, 3rd ed., sec. 8.6), so the plan keeps the real part of each
     rfft and drops an imaginary part of round-off. The rows are transformed
@@ -323,9 +310,9 @@ def convolve_family(f: GridFunction, kernel: KernelSpec, scales: ScaleFamily,
     if min(ts) < 2.0 * d.h:
         raise ResolutionError(f"scale t={min(ts)} below the resolution limit 2h={2 * d.h}")
     if method == "direct":
-        cols = [d.h * np.convolve(f.values, k)[n - 1:2 * n - 1]
-                for k in _kernel_samples(kernel, ts, d)]
-        return np.stack(cols, axis=1)
+        diffs = np.arange(1 - n, n) * d.h
+        return np.stack([d.h * np.convolve(f.values, eval_kernel_dilated(kernel, t, diffs))
+                         [n - 1:2 * n - 1] for t in ts], axis=1)
     if method == "fft":
         size = _fft_length(n)
         spectra, prod, full = _kernel_spectra(kernel, ts, d)

@@ -100,7 +100,8 @@ class ExperimentConfig:
         # checked before self.scales(), which lists all scale_count scales, then clips
         limit = _MAX_ENTRIES // (self.cells << self.refine)
         if max(self.function_count, self.scale_count) > limit:
-            raise ConfigError(f"function_count and scale_count must not exceed {limit} on this grid")
+            raise ConfigError(f"function_count and scale_count must not exceed {limit} "
+                              "on this grid")
         try:
             self.scales()
         except ValueError as exc:
@@ -280,8 +281,8 @@ class RatioTable:
     def param_keys(self) -> list:
         return sorted({k for row in self.rows for k in row.params})
 
-    def finite_ratios(self) -> list:
-        return [r.ratio for r in self.rows if math.isfinite(r.ratio)]
+    def finite_ratios(self) -> list:  # less the rows whose bound overflowed
+        return [r.ratio for r in self.rows if math.isfinite(r.ratio) and r.flag != "infinite-rhs"]
 
     def n_failures(self) -> int:
         return sum(1 for r in self.rows if r.flag.startswith(

@@ -150,7 +150,6 @@ class EquivalenceReport:
     lhs: float  # BMO_nu norm
     rhs: float  # sup_Q (|Q| / nu(Q)) a_tau
     ratio: float  # nan sentinel when 0/0
-    tau: float
     degenerate: bool
 
 
@@ -171,9 +170,8 @@ def bmo_nu_equivalence(b: GridFunction, nu: Weight, ranges,
         a = _window_oscillation(b.values[cells], tau)
         rhs = max(rhs, float((width * h / measure[rows] * a).max()))
     if lhs == 0.0 and rhs == 0.0:
-        return EquivalenceReport(lhs, rhs, math.nan, tau, degenerate=True)
-    ratio = lhs / rhs if rhs > 0 else math.inf
-    return EquivalenceReport(lhs, rhs, ratio, tau, degenerate=False)
+        return EquivalenceReport(lhs, rhs, math.nan, degenerate=True)
+    return EquivalenceReport(lhs, rhs, lhs / rhs if rhs > 0 else math.inf, degenerate=False)
 
 
 class WitnessPlacementError(ValueError):
@@ -187,10 +185,8 @@ class WitnessResult:
     f_cells: np.ndarray  # F subset of P, |F| = |P| / 2 cells
     f_test: GridFunction  # normalized indicator of F
     a_tau: float
-    median_p: float
     sign: int  # sign of b(x) - b(y) on E x F (+1 / -1), 0 when degenerate
     degenerate: bool
-    pair_gap: float  # min over E x F of sign * (b(x) - b(y))
 
 
 def oscillation_witness(b: GridFunction, q_range: tuple[int, int], tau: float,
@@ -254,12 +250,9 @@ def oscillation_witness(b: GridFunction, q_range: tuple[int, int], tau: float,
     f_test = GridFunction(d, fv)
 
     degenerate = a_tau == 0.0
-    pair_gap = math.inf
-    if verify:
-        diff = sign * (b.values[e_cells][:, None] - b.values[f_cells][None, :])
-        pair_gap = float(diff.min())
-        if not degenerate and pair_gap < a_tau - 1e-12:
-            raise AssertionError(
-                f"witness postcondition failed: min gap {pair_gap} < a_tau {a_tau}")
-    return WitnessResult((ps, pe), e_cells, f_cells, f_test, a_tau, m_p,
-                         0 if degenerate else sign, degenerate, pair_gap)
+    if verify and not degenerate:
+        gap = float((sign * (b.values[e_cells][:, None] - b.values[f_cells][None, :])).min())
+        if gap < a_tau - 1e-12:
+            raise AssertionError(f"witness postcondition failed: min gap {gap} < a_tau {a_tau}")
+    return WitnessResult((ps, pe), e_cells, f_cells, f_test, a_tau,
+                         0 if degenerate else sign, degenerate)

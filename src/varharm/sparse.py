@@ -6,13 +6,13 @@ cube's. The cube (level, j) has heap id 2^level - 1 + j and parent
 (id - 1) // 2; the walk runs level by level on arrays over these ids. If the
 cubes selected below a cube cover more than half of it, the threshold
 multiplier is doubled and the walk reruns on the same averages, which pins
-eta at 1/2. A family is the selected rows of that walk: each cube's
-root-grid cell range, in heap order, and its set E_Q.
+eta at ETA = 1/2. A family is the selected rows of that walk: each cube's
+root-grid cell range, in heap order, and the owner map of the sets E_Q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,55 +20,45 @@ from .grid import GridFunction, KernelSpec, ScaleFamily, _recentred
 from .lattice import DyadicLattice, _width_groups, default_lattices
 from .variation import variation_operator
 
+ETA = 0.5  # every family has |E_Q| >= ETA |Q|
+
 
 class SparseConstructionError(RuntimeError):
-    """Threshold escalation exceeded its cap without reaching eta = 1/2."""
+    """Threshold escalation exceeded its cap without reaching eta = ETA."""
 
 
 @dataclass
 class SparseFamily:
-    """The cubes of one lattice with disjoint subsets E_Q of cells, |E_Q| >= eta |Q|.
+    """The cubes of one lattice with disjoint subsets E_Q of cells, |E_Q| >= ETA |Q|.
 
-    The cubes and E_Q cell sets are stored in root-grid coordinates (3N cells),
-    so cube measures are exact cell counts even where cubes leave the domain.
+    Cubes and E_Q are stored in root-grid coordinates (3N cells), so cube
+    measures are exact cell counts even where cubes leave the domain. The
+    sets E_Q are one owner map, so they are disjoint by construction.
     """
 
     lattice: DyadicLattice
     cubes: np.ndarray  # (K, 2) intp root-grid ranges [start, stop), ancestors first
-    e_sets: list  # row k: np.ndarray of the root-grid cells of E_Q for cubes[k]
-    eta: float
+    owner: np.ndarray  # (3N,) intp: the row whose E_Q holds each root cell, -1 if none
     c0: float | None = None  # threshold multiplier the builder ended with
 
 
-@dataclass
-class SparseReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-
-
-def validate_sparse(family: SparseFamily) -> SparseReport:
-    """Exact cell-count check of E_Q in Q, disjointness and |E_Q| >= eta |Q|.
-    Violations name rows of family.cubes, a shared cell the pair of rows."""
-    violations = []
-    seen = {}
-    for k, (s, t) in enumerate(family.cubes.tolist()):
-        e = np.asarray(family.e_sets[k])
-        if len(e) and (e.min() < s or e.max() >= t):
-            violations.append((k, "E_Q not contained in Q"))
-        if len(e) < family.eta * (t - s):
-            violations.append((k, f"|E_Q| = {len(e)} < eta |Q| = "
-                                  f"{family.eta * (t - s)}"))
-        for c in e.tolist():
-            if c in seen:
-                violations.append(((seen[c], k), f"shared cell {c}"))
-                break
-            seen[c] = k
-    return SparseReport(ok=not violations, violations=violations)
+def validate_sparse(family: SparseFamily) -> list:
+    """Exact cell-count check of E_Q in Q and |E_Q| >= ETA |Q|: the
+    (row, reason) violations in row order, empty for a sparse family."""
+    cubes = family.cubes
+    cells = np.flatnonzero(family.owner >= 0)
+    rows = family.owner[cells]
+    outside = rows[(cells < cubes[rows, 0]) | (cells >= cubes[rows, 1])]
+    size = np.bincount(rows, minlength=len(cubes))
+    need = ETA * (cubes[:, 1] - cubes[:, 0])
+    return sorted([(k, "E_Q not contained in Q") for k in set(outside.tolist())]
+                  + [(k, f"|E_Q| = {size[k]} < eta |Q| = {need[k]}")
+                     for k in np.flatnonzero(size < need).tolist()])
 
 
 def build_sparse_family(f: GridFunction, lattice: DyadicLattice,
                         c0: float = 2.0, max_escalations: int = 10) -> SparseFamily:
-    """Stopping-time sparse family for f on one lattice; eta = 1/2 guaranteed.
+    """Stopping-time sparse family for f on one lattice; eta = ETA guaranteed.
 
     avg[id] is the mean of |f| over 3Q clipped to the domain (0 off it), as
     width-grouped row means: equal to slice means bit for bit, so the exact
@@ -104,10 +94,11 @@ def build_sparse_family(f: GridFunction, lattice: DyadicLattice,
     else:
         raise SparseConstructionError(f"threshold escalation exceeded {max_escalations} doublings")
     # root cells go to E_Q of the last selected Q above their leaf; ancestors have smaller ids
-    owner = stop[len(ids) // 2 + np.arange(lattice.root_cells) // width[-1]]
+    row = np.empty(len(ids), dtype=np.intp)
+    row[sel] = np.arange(len(sel))
+    owner = row[stop[len(ids) // 2 + np.arange(lattice.root_cells) // width[-1]]]
     cubes = np.stack([index[sel] * width[sel], (index[sel] + 1) * width[sel]], axis=1)
-    e_sets = [np.flatnonzero(owner == i) for i in sel]
-    return SparseFamily(lattice, cubes, e_sets, eta=0.5, c0=c0)
+    return SparseFamily(lattice, cubes, owner, c0)
 
 
 def _sum_over_cubes(family: SparseFamily, f: GridFunction, term) -> GridFunction:

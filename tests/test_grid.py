@@ -140,13 +140,14 @@ def test_fft_length_is_the_smallest_2a3b_above_2n_minus_1():
 
 @pytest.mark.parametrize("cells", [96, 768, 1100, 3072])
 def test_kernel_samples_mirror_the_nonnegative_offsets_bit_for_bit(cells):
+    # the plan samples the offsets d h, d >= 0, and mirrors them for -d h
     d = Domain1D(-8.0, 8.0, cells)
-    diffs = np.arange(-(cells - 1), cells) * d.h
-    scales = (4.0, math.sqrt(8.0 * d.h), 2.0 * d.h)
+    diffs = np.arange(cells) * d.h
     for kind in KERNEL_KINDS:
         k = KernelSpec(kind)
-        expect = np.stack([eval_kernel_dilated(k, t, diffs) for t in scales])
-        assert np.array_equal(grid._kernel_samples(k, scales, d), expect)
+        for t in (4.0, math.sqrt(8.0 * d.h), 2.0 * d.h):
+            assert np.array_equal(eval_kernel_dilated(k, t, -np.arange(cells) * d.h),
+                                  eval_kernel_dilated(k, t, diffs))
 
 
 def _block_rows(length: int) -> int:
@@ -182,13 +183,13 @@ def test_convolve_family_blocks_equal_one_transform(cells, count):
 
 
 def _wrapped_samples(kernel, scales, d):
-    """The linear samples of _kernel_samples laid out circularly in rows of
-    the transform length L: offset d >= 0 at index d, d < 0 at L + d."""
+    """The kernel samples phi_t(d h) laid out circularly in rows of the
+    transform length L: offset d >= 0 at index d, d < 0 at L + d."""
     n, size = d.cells, grid._fft_length(d.cells)
-    linear = grid._kernel_samples(kernel, scales, d)
+    offsets = np.arange(1 - n, n)
     out = np.zeros((len(scales), size))
-    out[:, :n] = linear[:, n - 1:]
-    out[:, size - n + 1:] = linear[:, :n - 1]
+    for row, t in zip(out, scales):
+        row[offsets % size] = eval_kernel_dilated(kernel, t, offsets * d.h)
     return out
 
 

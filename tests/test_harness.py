@@ -514,6 +514,18 @@ def test_overflowed_bound_is_flagged_not_a_clean_zero(tmp_path):
     assert cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
 
 
+def test_overflowed_bounds_stay_out_of_the_summary():
+    # E5 at p = 1.0001 flags all 16 of its rows infinite-rhs: no ratio to report
+    e5 = run_experiment(parse_config("experiment = E5\ncells = 96\np_list = 1.0001\n"))
+    assert len(e5.rows) == 16 and {r.flag for r in e5.rows} == {"infinite-rhs"}
+    assert e5.summary()["max_ratio"] is None and e5.summary()["min_ratio"] is None
+    # E1's extremes come from its 12 unflagged rows, not from the 12 ratios 0 beside them
+    e1 = run_experiment(parse_config("experiment = E1\ncells = 96\np_list = 1.0001\n"))
+    clean = [r.ratio for r in e1.rows if not r.flag]
+    assert len(clean) == 12 and min(clean) > 0.0
+    assert (e1.summary()["min_ratio"], e1.summary()["max_ratio"]) == (min(clean), max(clean))
+
+
 def test_cli_info(tmp_path, capsys):
     d = Domain1D(-8.0, 8.0, 96)
     path = tmp_path / "w.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varharm import (Domain1D, GridFunction, KernelSpec, ScaleFamily,
+from varharm import (ETA, Domain1D, GridFunction, KernelSpec, ScaleFamily,
                      SparseConstructionError, SparseFamily, build_sparse_family,
                      default_lattices, domination_check, sparse_commutator,
                      sparse_commutator_star, sparse_operator, validate_sparse)
@@ -16,31 +16,44 @@ def _unit_cube_family():
     assert (lat.offset_cells + q[0], lat.offset_cells + q[1]) == (3, 12)
     assert d.left + (lat.offset_cells + q[0]) * d.h == pytest.approx(0.0, abs=1e-12)
     assert w * d.h == pytest.approx(1.0, abs=1e-12)
-    fam = SparseFamily(lat, np.array([q]), [np.arange(*q)], eta=0.5)
+    fam = SparseFamily(lat, np.array([q]), _owner_map(lat, [range(*q)]))
     return d, q, fam
+
+
+def _owner_map(lattice, sets):
+    """The owner map of the root cells: row k for the cells of sets[k], -1 elsewhere."""
+    owner = np.full(lattice.root_cells, -1, dtype=np.intp)
+    for k, e in enumerate(sets):
+        owner[list(e)] = k
+    return owner
+
+
+def _sets_by_cube(family):
+    """Each cube's E_Q as read off the owner map, keyed by its root-grid range."""
+    return {tuple(q): np.flatnonzero(family.owner == k)
+            for k, q in enumerate(family.cubes.tolist())}
 
 
 def test_validate_sparse_accepts_and_rejects():
     d, q, fam = _unit_cube_family()
-    assert validate_sparse(fam).ok
-    # E_Q escaping the cube
+    assert validate_sparse(fam) == []
     s, e = q
-    bad = SparseFamily(fam.lattice, fam.cubes, [np.arange(s - 1, e)], eta=0.5)
-    assert not validate_sparse(bad).ok
-    # E_Q too small for eta = 1/2
-    small = SparseFamily(fam.lattice, fam.cubes, [np.arange(s, s + 3)], eta=0.5)
-    assert not validate_sparse(small).ok
-
-
-def test_validate_sparse_names_a_shared_cell():
-    d, q, fam = _unit_cube_family()
+    # a cell of E_Q placed outside the cube, next to it and at the far end of the root
+    for cell in (s - 1, 0):
+        owner = fam.owner.copy()
+        owner[cell] = 0
+        bad = SparseFamily(fam.lattice, fam.cubes, owner)
+        assert validate_sparse(bad) == [(0, "E_Q not contained in Q")]
+    # E_Q too small for eta = 1/2, and emptied
+    for cells, size in ((range(s, s + 3), 3), ((), 0)):
+        small = SparseFamily(fam.lattice, fam.cubes, _owner_map(fam.lattice, [cells]))
+        assert validate_sparse(small) == [(0, f"|E_Q| = {size} < eta |Q| = {ETA * (e - s)}")]
+    # both faults on one row, and a sound row beside it
     parent = (18, 36)  # cube (1, 1) in root cells, holds q = [27, 36)
-    s, e = q
-    shared = SparseFamily(fam.lattice, np.array([parent, q]),
-                          [np.arange(18, s + 1), np.arange(s, e)], eta=0.5)
-    rep = validate_sparse(shared)
-    assert not rep.ok
-    assert rep.violations == [((0, 1), f"shared cell {s}")]
+    owner = _owner_map(fam.lattice, [range(18, s), [0, *range(s + 6, e)]])
+    both = SparseFamily(fam.lattice, np.array([parent, q]), owner)
+    assert validate_sparse(both) == [(1, "E_Q not contained in Q"),
+                                     (1, f"|E_Q| = 4 < eta |Q| = {ETA * (e - s)}")]
 
 
 def test_sparse_operator_single_cube():
@@ -83,8 +96,8 @@ def test_builder_constant_function_keeps_only_root():
     fam = build_sparse_family(GridFunction(d, np.ones(d.cells)), lat)
     assert len(fam.cubes) == 1
     assert fam.cubes.tolist() == [[0, lat.root_cells]]  # the level-0 cube
-    assert validate_sparse(fam).ok
-    assert len(fam.e_sets[0]) == lat.root_cells
+    assert validate_sparse(fam) == []
+    assert np.array_equal(fam.owner, np.zeros(lat.root_cells, dtype=np.intp))
 
 
 def test_builder_rejects_bad_input():
@@ -103,7 +116,7 @@ def test_builder_spike_function_validates_on_all_lattices():
     f = GridFunction(d, vals)
     for lat in default_lattices(d):
         fam = build_sparse_family(f, lat)
-        assert validate_sparse(fam).ok
+        assert validate_sparse(fam) == []
         assert len(fam.cubes) > 1  # the spike forces a selection
         # selected cubes are nested inside the root and pairwise organized
         rs, re = fam.cubes[0].tolist()
@@ -119,7 +132,7 @@ def test_builder_stopping_property():
     lat = default_lattices(d)[1]
     c0 = 2.0
     fam = build_sparse_family(f, lat, c0=c0)
-    assert validate_sparse(fam).ok
+    assert validate_sparse(fam) == []
 
     def tripled_avg(cube):
         qs, qe = cube
@@ -172,12 +185,13 @@ def _tripled_avg(lattice, f_root, q):
 def _tree_walk_family(f, lattice, c0=2.0, max_escalations=10):
     """The stopping-time tree walk cube by cube over (level, index) pairs,
     restarted from the root on each threshold doubling: the exactness oracle
-    of the array builder. Returns the family in the walk's order."""
+    of the array builder. Returns the family in the walk's order, its sets
+    E_Q as an owner map."""
     vals = f.values
     for _ in range(max_escalations + 1):
         root = (0, 0)
         cubes = [root]
-        e_sets = {}
+        e_q = {}
         ok = True
         stack = [root]
         while stack and ok:
@@ -201,12 +215,12 @@ def _tree_walk_family(f, lattice, c0=2.0, max_escalations=10):
             for p in selected:
                 ps, pe = _root_range(lattice, p)
                 mask[ps - qs:pe - qs] = False
-            e_sets[q] = np.flatnonzero(mask) + qs
+            e_q[q] = np.flatnonzero(mask) + qs
             cubes.extend(selected)
             stack.extend(selected)
         if ok:
             return SparseFamily(lattice, np.array([_root_range(lattice, q) for q in cubes]),
-                                [e_sets[q] for q in cubes], eta=0.5, c0=c0)
+                                _owner_map(lattice, [e_q[q] for q in cubes]), c0)
         c0 *= 2.0
     raise SparseConstructionError("escalation cap")
 
@@ -230,9 +244,11 @@ def test_builder_equals_tree_walk_oracle(cells):
                 want = _tree_walk_family(f, lat, c0)
                 got = build_sparse_family(f, lat, c0)
                 assert got.c0 == want.c0
-                assert got.cubes.dtype == np.intp and got.cubes.shape == (len(got.e_sets), 2)
-                got_rows = dict(zip(map(tuple, got.cubes.tolist()), got.e_sets))
-                want_rows = dict(zip(map(tuple, want.cubes.tolist()), want.e_sets))
+                assert got.cubes.dtype == np.intp and got.cubes.shape[1] == 2
+                assert got.owner.dtype == np.intp and got.owner.shape == (lat.root_cells,)
+                # every root cell lies in some E_Q
+                assert got.owner.min() >= 0 and want.owner.min() >= 0
+                got_rows, want_rows = _sets_by_cube(got), _sets_by_cube(want)
                 assert set(got_rows) == set(want_rows)
                 for q in want_rows:
                     assert np.array_equal(got_rows[q], want_rows[q])
